@@ -627,6 +627,12 @@ class DynamicSim:
                 keep.append(other)
             else:
                 other.flushed = True
+                if other.dec.kind == _K_JAL and other.started:
+                    # JALs issue in program order, so the first flushed
+                    # one took the lowest token: hand it out again, or
+                    # every later call links a different ``ra`` than the
+                    # reference machine does.
+                    self._next_token = min(self._next_token, other.value)
         self.rob = keep
         for e in self.fetch_queue:
             e.flushed = True

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.harness.experiments import DYNAMIC_CONFIGS
 from repro.harness.pipeline import SCALAR_CONFIG, compile_minic, make_input_image
 from repro.hw.dynamic import DynamicConfig, DynamicSim, run_dynamic
 from repro.hw.exceptions import Trap, TrapKind
-from repro.hw.functional import run_functional
+from repro.hw.functional import FunctionalSim, run_functional
 from repro.frontend import compile_source
 from repro.opt import allocate_program, optimize_program
 
@@ -171,3 +172,39 @@ def test_decode_path_matches_reference_on_workload():
     assert results[False].instr_count == results[True].instr_count
     assert results[False].branch_count == results[True].branch_count
     assert results[True].cycle_count <= results[False].cycle_count
+
+
+# Fuzz seed 33139, auto-reduced.  The recursive call after ``return 9`` is
+# fetched down a mispredicted path and its JAL issues before the squash.
+RA_DRIFT_SOURCE = """
+func fn0(p0, p1) {
+    return 9;
+    return fn0(0, 0);
+}
+
+func main() {
+    var v1 = 8;
+    for (var i2 = 0; i2; i2 = 0) {
+    }
+    if (v1 * 71 < 64 || 1) {
+        v1 = fn0(0, 0);
+    }
+}
+"""
+
+
+def test_squashed_call_gives_back_its_return_address():
+    # A JAL takes its return-address token at issue.  A squash must hand
+    # the tokens of flushed JALs back, or every later call links a
+    # different ``ra`` than the reference machine and a spilled ``ra``
+    # leaves final memory different.
+    prog = compile_source(RA_DRIFT_SOURCE)
+    optimize_program(prog)
+    allocate_program(prog)
+    ref = FunctionalSim(prog, backend="reference")
+    expected = ref.run()
+    for key, config in DYNAMIC_CONFIGS.items():
+        sim = DynamicSim(prog, config=config)
+        res = sim.run()
+        assert res.output == expected.output, key
+        assert sim.mem.snapshot() == ref.mem.snapshot(), key
