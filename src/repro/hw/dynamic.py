@@ -31,13 +31,18 @@ in its simplest deterministic form.
 
 Like the functional and superscalar simulators, every static instruction is
 decoded once (``_Dec``) into pre-resolved handlers, register indices, and
-flat branch targets; the per-cycle stages then dispatch on plain ints
-instead of walking enum property chains.
+flat branch targets.  :meth:`DynamicSim.run` is one loop that does commit,
+writeback, issue, dispatch and fetch inline on machine state held in local
+variables.  The state is kept up to date as instructions move instead of
+being rescanned: issue walks only the dispatched-but-unissued entries,
+writeback looks only at the branch or ``jr`` issued the cycle before, and
+only :func:`_squash` walks the reorder buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hw.alu import ALU_FUNCS, BRANCH_FUNCS, s32
@@ -55,11 +60,11 @@ _TOKEN_STRIDE = 16
 _PC_BASE = 0x0040_0000
 _FAR_FUTURE = 1 << 60
 
-# Decode kinds: how _try_execute / _predict_next / _commit treat the op.
+# Decode kinds: how the cycle loop treats the op.
 (_K_ALU, _K_LOAD, _K_STORE, _K_CBR, _K_JR, _K_JAL, _K_J, _K_HALT,
  _K_NOP, _K_PRINT, _K_OTHER) = range(11)
 
-# Functional-unit slots: indices into the per-cycle issue counters.
+# Functional-unit slots.
 _FU_ALU, _FU_SHIFT, _FU_BRANCH, _FU_MULDIV, _FU_MEM, _FU_NONE = range(6)
 
 _FU_SLOT = {FU.ALU: _FU_ALU, FU.SHIFT: _FU_SHIFT, FU.BRANCH: _FU_BRANCH,
@@ -69,14 +74,15 @@ _FU_SLOT = {FU.ALU: _FU_ALU, FU.SHIFT: _FU_SHIFT, FU.BRANCH: _FU_BRANCH,
 class _Dec:
     """One static instruction, decoded once for the cycle loop."""
 
-    __slots__ = ("kind", "fu_slot", "is_term", "is_cbr", "is_load",
-                 "is_store", "src_idxs", "def_idxs", "dst_idx", "imm",
-                 "latency", "mem_size", "is_lb", "pc", "target_idx",
-                 "alu_fn", "cbr_fn")
+    __slots__ = ("instr", "kind", "fu_slot", "is_term", "is_load",
+                 "is_store", "is_mem", "nsrc", "src_a", "src_b", "def_idx",
+                 "dst_idx", "imm", "latency", "mem_size", "is_lb", "pc",
+                 "target_idx", "alu_fn", "cbr_fn")
 
     def __init__(self, sim: "DynamicSim", idx: int,
                  instr: Instruction) -> None:
         op = instr.op
+        self.instr = instr
         if op.is_load:
             self.kind = _K_LOAD
         elif op.is_store:
@@ -101,12 +107,15 @@ class _Dec:
             self.kind = _K_OTHER
         self.fu_slot = _FU_SLOT.get(op.fu, _FU_NONE)
         self.is_term = instr.is_terminator
-        self.is_cbr = self.kind == _K_CBR
         self.is_load = self.kind == _K_LOAD
         self.is_store = self.kind == _K_STORE
-        self.src_idxs = tuple(-1 if r.is_zero else r.index
-                              for r in instr.srcs)
-        self.def_idxs = tuple(r.index for r in instr.defs())
+        self.is_mem = self.is_load or self.is_store
+        # Every format reads at most two registers; -1 reads as zero.
+        srcs = [-1 if r.is_zero else r.index for r in instr.srcs]
+        self.nsrc = len(srcs)
+        self.src_a, self.src_b = (srcs + [-1, -1])[:2]
+        defs = instr.defs()
+        self.def_idx = defs[0].index if defs else -1
         self.dst_idx = (instr.dst.index
                         if instr.dst is not None and not instr.dst.is_zero
                         else -1)
@@ -157,30 +166,62 @@ class DynamicConfig:
     fetch_rate: int = 0
 
 
-@dataclass(slots=True)
 class _Entry:
-    seq: int
-    idx: int                          # flat instruction index
-    instr: Instruction
-    dec: _Dec
-    dispatch_cycle: int
-    src_entries: list = field(default_factory=list)
-    src_values: list = field(default_factory=list)
-    started: bool = False
-    done: bool = False
-    complete_cycle: int = _FAR_FUTURE
-    value: Optional[int] = None
-    addr: Optional[int] = None        # resolved memory address
-    mem_size: int = 4
-    store_data: Optional[int] = None
-    trap: Optional[Trap] = None
-    predicted_next: Optional[int] = None
-    actual_next: Optional[int] = None
-    flushed: bool = False
-    #: load executed past >=1 unresolved older store address (LSQ)
-    mem_speculative: bool = False
-    #: seq of the store this load forwarded from; 0 = read memory
-    fwd_seq: int = 0
+    """One dynamic instruction, from fetch to commit or squash.
+
+    Only the fields read before they are known start out set.  Dispatch
+    sets the operands ``a``/``b`` and ``pa``/``pb``, the producer of an
+    operand still in flight (``None`` once captured).  Fetch sets
+    ``predicted_next`` of a branch or jr, and issue sets its
+    ``actual_next``, a memory op's ``mem_size``/``store_data``, and an LSQ
+    load's ``mem_speculative`` (executed past an unresolved older store
+    address) and ``fwd_seq`` (the store it forwarded from; 0 = memory).
+    """
+
+    __slots__ = ("seq", "idx", "dec", "a", "b", "pa", "pb", "done",
+                 "complete_cycle", "value", "addr", "mem_size", "store_data",
+                 "trap", "predicted_next", "actual_next", "flushed",
+                 "mem_speculative", "fwd_seq")
+
+    def __init__(self, seq: int, idx: int, dec: _Dec) -> None:
+        self.seq = seq
+        self.idx = idx                # flat instruction index
+        self.dec = dec
+        self.done = False             # issued
+        self.complete_cycle = _FAR_FUTURE
+        self.value: Optional[int] = None
+        self.addr: Optional[int] = None   # resolved memory address
+        self.trap: Optional[Trap] = None
+        self.flushed = False
+
+
+def _squash(rob: deque, fq: deque, unissued: list, rename: dict,
+            lsq: Optional[LoadStoreQueue], keep_seq: int,
+            next_token: int) -> int:
+    """Flush every entry with ``seq > keep_seq`` and return the token
+    counter to carry on from.
+
+    Branch mispredictions and memory-order violations both recover here;
+    the caller redirects fetch.  JALs issue in program order on the one
+    branch unit, so the oldest flushed one that issued took the lowest
+    return-address token.  Handing it out again keeps later calls linking
+    the same ``ra`` values as the reference machine.
+    """
+    while rob and rob[-1].seq > keep_seq:
+        e = rob.pop()
+        e.flushed = True
+        if e.done and e.dec.kind == _K_JAL:
+            next_token = min(next_token, e.value)
+    fq.clear()
+    while unissued and unissued[-1].seq > keep_seq:
+        unissued.pop()
+    if lsq is not None:
+        lsq.drop_flushed()
+    rename.clear()
+    for e in rob:
+        if e.dec.def_idx >= 0:
+            rename[e.dec.def_idx] = e
+    return next_token
 
 
 class DynamicSim:
@@ -209,9 +250,6 @@ class DynamicSim:
                 self.block_idx[(proc.name, block.label)] = len(self.flat)
                 for instr in block.instructions():
                     self.flat.append(instr)
-        self._proc_of_idx: dict[int, str] = {}
-        for proc in program.procedures.values():
-            self._proc_of_idx[self.entry_idx[proc.name]] = proc.name
         # Branch targets are resolved within the owning procedure.
         self._owner: list[str] = []
         for proc in program.procedures.values():
@@ -231,21 +269,9 @@ class DynamicSim:
 
         self.btb = BranchTargetBuffer(self.config.btb_entries,
                                       self.config.btb_ways)
-        self.rename: dict[int, _Entry] = {}
-        self.rob: list[_Entry] = []
-        self.fetch_queue: list[_Entry] = []
-        self.fetch_idx: Optional[int] = self.entry_idx[program.entry]
-        self.fetch_stalled_on: Optional[_Entry] = None  # unresolved jr
-        self._tokens: dict[int, int] = {}
-        self._next_token = EXIT_TOKEN + _TOKEN_STRIDE
-        self._seq = 0
         self.cycle = 0
-        self._fetch_resume = 0
         self.halted = False
         self.result = ExecutionResult()
-        # multiply/divide unit is unpipelined
-        self._muldiv_free = 0
-        self._mem_free = 0
         # Load/store queue (None = conservative legacy memory pipeline).
         cfg = self.config
         self.lsq = (LoadStoreQueue(cfg.lsq_size, cfg.stlf,
@@ -253,495 +279,430 @@ class DynamicSim:
                     if cfg.lsq_size > 0 else None)
         self.memdep_squashes = 0
         self.memdep_stall_cycles = 0
-        self._memdep_wait = False     # a ready load stalled on ordering
-        self._memdep_victim = None    # load proven wrong by a store resolve
-
-    # ------------------------------------------------------------ helpers
-    def _pc(self, idx: int) -> int:
-        return _PC_BASE + 4 * idx
 
     def _target_idx(self, idx: int, label: str) -> int:
         return self.block_idx[(self._owner[idx], label)]
 
-    def _read_operand(self, ridx: int) -> tuple[Optional[_Entry], Optional[int]]:
-        if ridx < 0:
-            return (None, 0)
-        producer = self.rename.get(ridx)
-        if producer is None:
-            return (None, self.arch_regs[ridx])
-        if producer.done:
-            return (None, producer.value if producer.value is not None
-                    else self.arch_regs[ridx])
-        return (producer, None)
-
-    # ---------------------------------------------------------------- fetch
-    def _predict_next(self, entry: _Entry) -> Optional[int]:
-        """Where fetch continues after this instruction; None = stall."""
-        dec = entry.dec
-        idx = entry.idx
-        if not dec.is_term:
-            return idx + 1
-        kind = dec.kind
-        if kind == _K_HALT:
-            return None
-        if kind == _K_J or kind == _K_JAL:
-            return dec.target_idx
-        if kind == _K_CBR:
-            hit = self.btb.lookup(dec.pc)
-            if hit is None:
-                entry.predicted_next = idx + 1  # fall through on a miss
-            else:
-                predict_taken, _ = hit
-                entry.predicted_next = (dec.target_idx if predict_taken
-                                        else idx + 1)
-            return entry.predicted_next
-        if kind == _K_JR:
-            hit = self.btb.lookup(dec.pc)
-            if hit is None:
-                entry.predicted_next = None
-                self.fetch_stalled_on = entry
-                return None
-            entry.predicted_next = hit[1]
-            return entry.predicted_next
-        raise ValueError(f"unhandled terminator {entry.instr}")
-
-    def _fetch(self) -> None:
-        if self.cycle < self._fetch_resume:
-            return
-        flat = self.flat
-        dec = self._dec
-        width = self.config.fetch_width
-        if self.config.fetch_rate > width and not self.fetch_queue:
-            # Variable fetch rate: widen fetch while the queue refills
-            # after a redirect (or at start-up), then settle back to the
-            # steady-state width once dispatch has something to chew on.
-            width = self.config.fetch_rate
-        for _ in range(width):
-            if self.fetch_idx is None or self.fetch_stalled_on is not None:
-                return
-            if len(self.fetch_queue) >= self.config.fetch_buffer:
-                return
-            idx = self.fetch_idx
-            if idx >= len(flat):
-                self.fetch_idx = None
-                return
-            self._seq += 1
-            entry = _Entry(seq=self._seq, idx=idx, instr=flat[idx],
-                           dec=dec[idx], dispatch_cycle=-1)
-            self.fetch_queue.append(entry)
-            self.fetch_idx = self._predict_next(entry)
-            if self.fetch_idx is not None and self.fetch_idx != idx + 1:
-                # Redirected fetch: pay the taken-branch bubble.
-                self._fetch_resume = (self.cycle + 1
-                                      + self.config.taken_fetch_bubble)
-                return
-
-    # -------------------------------------------------------------- dispatch
-    def _dispatch(self) -> None:
-        cfg = self.config
-        rename = self.rename
-        # Done-ness cannot change mid-dispatch, so count once and track.
-        in_flight = sum(1 for e in self.rob if not e.done)
-        for _ in range(cfg.fetch_width):
-            if not self.fetch_queue:
-                return
-            if len(self.rob) >= cfg.rob_entries:
-                return
-            if in_flight >= cfg.reservation_stations:
-                return
-            entry = self.fetch_queue[0]
-            dec = entry.dec
-            if (self.lsq is not None and (dec.is_load or dec.is_store)
-                    and self.lsq.full()):
-                return  # no free LSQ slot: memory ops stall dispatch
-            if not cfg.rename:
-                # Without renaming: one outstanding write per register.
-                for di in dec.def_idxs:
-                    producer = rename.get(di)
-                    if producer is not None and not producer.done:
-                        if self._stats_hot is not None:
-                            self._stats_hot.rename_stall_events += 1
-                        return
-            self.fetch_queue.pop(0)
-            entry.dispatch_cycle = self.cycle
-            read = self._read_operand
-            for ridx in dec.src_idxs:
-                producer, value = read(ridx)
-                entry.src_entries.append(producer)
-                entry.src_values.append(value)
-            for di in dec.def_idxs:
-                rename[di] = entry
-            self.rob.append(entry)
-            if self.lsq is not None and (dec.is_load or dec.is_store):
-                self.lsq.allocate(entry)
-            in_flight += 1
-
-    # ----------------------------------------------------------------- issue
-    def _operands_ready(self, entry: _Entry) -> bool:
-        for i, producer in enumerate(entry.src_entries):
-            if producer is None:
-                continue
-            if producer.flushed:
-                # Producer was squashed after we captured it; its register
-                # now comes from the architectural file.
-                entry.src_entries[i] = None
-                entry.src_values[i] = self.arch_regs[entry.dec.src_idxs[i]]
-                continue
-            if not producer.done or producer.complete_cycle > self.cycle:
-                return False
-            entry.src_values[i] = producer.value
-            entry.src_entries[i] = None
-        return True
-
-    def _earlier_stores_resolved(self, entry: _Entry) -> Optional[int]:
-        """None if the load must wait; else the forwarded value or -1 for
-        'read memory'."""
-        seq = entry.seq
-        for other in self.rob:
-            if other.seq >= seq:
-                break
-            if other.dec.kind != _K_STORE:
-                continue
-            if other.addr is None:
-                return None  # unknown earlier store address
-        value = None
-        for other in self.rob:
-            if other.seq >= seq:
-                break
-            if other.dec.kind != _K_STORE or other.addr is None:
-                continue
-            o_lo, o_hi = other.addr, other.addr + other.mem_size
-            lo, hi = entry.addr, entry.addr + entry.mem_size
-            if o_hi <= lo or hi <= o_lo:
-                continue
-            if other.addr == entry.addr and other.mem_size == entry.mem_size:
-                value = other.store_data
-            else:
-                return None  # partial overlap: wait for commit
-        return -1 if value is None else value
-
-    def _issue(self) -> None:
-        issued = 0
-        issue_width = self.config.issue_width
-        cycle = self.cycle
-        fu_used = [0, 0, 0]           # ALU, SHIFT, BRANCH
-        operands_ready = self._operands_ready
-        try_execute = self._try_execute
-        self._memdep_wait = False
-        for entry in self.rob:
-            if issued >= issue_width:
-                break
-            if entry.started or entry.done:
-                continue
-            if entry.dispatch_cycle >= cycle:
-                continue
-            if not operands_ready(entry):
-                continue
-            if not try_execute(entry, fu_used):
-                continue
-            issued += 1
-            if self._memdep_victim is not None:
-                # The store that just executed resolved to an address a
-                # younger speculated load already used.  Squash from that
-                # load and stop issuing — the tail of self.rob we were
-                # iterating has just been flushed.
-                victim = self._memdep_victim
-                self._memdep_victim = None
-                self._memdep_squash(victim)
-                break
-        if self._memdep_wait:
-            self.memdep_stall_cycles += 1
-
-    def _try_execute(self, entry: _Entry, fu_used: list) -> bool:
-        dec = entry.dec
-        slot = dec.fu_slot
-        if slot == _FU_ALU:
-            if fu_used[_FU_ALU] >= 2:
-                return False
-        elif slot == _FU_SHIFT:
-            if fu_used[_FU_SHIFT] >= 1:
-                return False
-        elif slot == _FU_BRANCH:
-            if fu_used[_FU_BRANCH] >= 1:
-                return False
-        elif slot == _FU_MULDIV:
-            if self._muldiv_free > self.cycle:
-                return False
-        elif slot == _FU_MEM:
-            if self._mem_free > self.cycle:
-                return False
-
-        vals = entry.src_values
-        kind = dec.kind
-        if kind == _K_LOAD or kind == _K_STORE:
-            base = vals[0] if kind == _K_LOAD else vals[1]
-            entry.addr = (base + dec.imm) & 0xFFFFFFFF
-            entry.mem_size = dec.mem_size
-            if kind == _K_STORE:
-                entry.store_data = vals[0]
-                try:
-                    self.mem.check(entry.addr, entry.mem_size)
-                except Trap as trap:
-                    entry.trap = trap
-                self._finish(entry, 1)
-                self._mem_free = self.cycle + 1
-                if self.lsq is not None and self.lsq.speculate:
-                    # The address just resolved: did any younger load
-                    # already execute past it on a bad bet?
-                    self._memdep_victim = self.lsq.aliasing_victim(entry)
-                return True
-            if self.lsq is not None:
-                probe = self.lsq.probe_load(entry)
-                if probe.wait:
-                    self._memdep_wait = True
-                    return False
-                fwd = -1 if probe.value is None else probe.value
-                entry.mem_speculative = probe.speculative
-                entry.fwd_seq = probe.fwd_seq
-            else:
-                fwd = self._earlier_stores_resolved(entry)
-                if fwd is None:
-                    return False
-            try:
-                self.mem.check(entry.addr, entry.mem_size)
-            except Trap as trap:
-                entry.trap = trap
-                self._finish(entry, dec.latency)
-                self._mem_free = self.cycle + 1
-                return True
-            if fwd != -1:
-                value = fwd & (0xFFFFFFFF if entry.mem_size == 4 else 0xFF)
-            else:
-                raw = self.mem.read_bytes(entry.addr, entry.mem_size)
-                value = int.from_bytes(raw, "little")
-            if dec.is_lb and value >= 0x80:
-                value -= 0x100
-            entry.value = value & 0xFFFFFFFF
-            self._finish(entry, dec.latency)
-            self._mem_free = self.cycle + 1
-            return True
-
-        if kind == _K_CBR:
-            a = vals[0] if vals else 0
-            b = vals[1] if len(vals) > 1 else 0
-            taken = dec.cbr_fn(a, b)
-            entry.actual_next = (dec.target_idx if taken else entry.idx + 1)
-            entry.value = int(taken)
-            self._finish(entry, 1)
-            fu_used[_FU_BRANCH] += 1
-            return True
-        if kind == _K_JAL:
-            token = self._next_token
-            self._next_token += _TOKEN_STRIDE
-            self._tokens[token] = entry.idx + 1
-            entry.value = token
-            self._finish(entry, 1)
-            fu_used[_FU_BRANCH] += 1
-            return True
-        if kind == _K_JR:
-            addr = vals[0]
-            entry.actual_next = (self._tokens.get(addr, -1)
-                                 if addr != EXIT_TOKEN else -2)
-            self._finish(entry, 1)
-            fu_used[_FU_BRANCH] += 1
-            return True
-        if kind in (_K_J, _K_HALT, _K_NOP, _K_PRINT):
-            # J resolves at fetch; HALT/PRINT act at commit.
-            if vals:
-                entry.value = vals[0]
-            self._finish(entry, 1)
-            if slot == _FU_BRANCH:
-                fu_used[_FU_BRANCH] += 1
-            elif slot == _FU_ALU:
-                fu_used[_FU_ALU] += 1
-            return True
-
-        fn = dec.alu_fn
-        if fn is None:
-            raise ValueError(f"execute_alu cannot evaluate {entry.instr}")
-        a = vals[0] if vals else 0
-        b = vals[1] if len(vals) > 1 else 0
-        try:
-            entry.value = fn(a, b, dec.imm)
-        except Trap as trap:
-            trap.instr_uid = entry.instr.uid
-            entry.trap = trap
-        latency = dec.latency
-        self._finish(entry, latency)
-        if slot == _FU_MULDIV:
-            self._muldiv_free = self.cycle + latency
-        elif slot == _FU_SHIFT:
-            fu_used[_FU_SHIFT] += 1
-        else:
-            fu_used[_FU_ALU] += 1
-        return True
-
-    def _finish(self, entry: _Entry, latency: int) -> None:
-        entry.started = True
-        entry.complete_cycle = self.cycle + latency
-        entry.done = True
-
-    # -------------------------------------------------------------- writeback
-    def _writeback(self) -> None:
-        """Verify resolved control flow; flush on mispredictions."""
-        cycle = self.cycle
-        for entry in self.rob:
-            if not entry.done or entry.complete_cycle != cycle:
-                continue
-            dec = entry.dec
-            if dec.is_cbr:
-                self.result.branch_count += 1
-                taken = bool(entry.value)
-                self.btb.update(dec.pc, taken, dec.target_idx)
-                if entry.predicted_next != entry.actual_next:
-                    self.result.mispredict_count += 1
-                    self._flush_after(entry)
-                    return
-            elif dec.kind == _K_JR:
-                if entry.actual_next == -2:
-                    continue  # program exit; handled at commit
-                self.btb.update(dec.pc, True,
-                                entry.actual_next if entry.actual_next >= 0
-                                else 0)
-                if self.fetch_stalled_on is entry:
-                    self.fetch_stalled_on = None
-                    self.fetch_idx = (entry.actual_next
-                                      if entry.actual_next >= 0 else None)
-                    self._fetch_resume = (self.cycle + 1
-                                          + self.config.taken_fetch_bubble)
-                elif entry.predicted_next != entry.actual_next:
-                    self.result.mispredict_count += 1
-                    self._flush_after(entry)
-                    return
-
-    def _squash_younger(self, keep_seq: int,
-                        restart_idx: Optional[int]) -> None:
-        """Shared recovery path: flush every entry with ``seq > keep_seq``
-        and refetch from ``restart_idx`` after the restart penalty.  Both
-        branch mispredictions and memory-order violations land here."""
-        if self._stats_hot is not None:
-            self._stats_hot.flushes += 1
-        keep: list[_Entry] = []
-        for other in self.rob:
-            if other.seq <= keep_seq:
-                keep.append(other)
-            else:
-                other.flushed = True
-                if other.dec.kind == _K_JAL and other.started:
-                    # JALs issue in program order, so the first flushed
-                    # one took the lowest token: hand it out again, or
-                    # every later call links a different ``ra`` than the
-                    # reference machine does.
-                    self._next_token = min(self._next_token, other.value)
-        self.rob = keep
-        for e in self.fetch_queue:
-            e.flushed = True
-        self.fetch_queue.clear()
-        self.fetch_stalled_on = None
-        if self.lsq is not None:
-            self.lsq.drop_flushed()
-        self._memdep_victim = None
-        # Rebuild the rename table from the surviving entries.
-        self.rename = {}
-        for other in self.rob:
-            for di in other.dec.def_idxs:
-                self.rename[di] = other
-        self.fetch_idx = restart_idx
-        self._fetch_resume = self.cycle + self.config.mispredict_restart
-
-    def _flush_after(self, entry: _Entry) -> None:
-        restart = entry.actual_next if entry.actual_next is not None \
-            and entry.actual_next >= 0 else None
-        self._squash_younger(entry.seq, restart)
-
-    def _memdep_squash(self, victim: _Entry) -> None:
-        """A resolved store aliased an already-executed younger load:
-        squash the load and everything younger, refetch from the load."""
-        self.memdep_squashes += 1
-        self._squash_younger(victim.seq - 1, victim.idx)
-
-    # ----------------------------------------------------------------- commit
-    def _commit(self) -> None:
-        result = self.result
-        arch_regs = self.arch_regs
-        rename = self.rename
-        cycle = self.cycle
-        for _ in range(self.config.commit_width):
-            if not self.rob:
-                return
-            entry = self.rob[0]
-            if not entry.done or entry.complete_cycle >= cycle:
-                return
-            dec = entry.dec
-            if entry.trap is not None:
-                entry.trap.instr_uid = entry.instr.uid
-                result.trap = entry.trap
-                result.cycle_count = cycle
-                raise entry.trap
-            kind = dec.kind
-            if kind == _K_HALT or (kind == _K_JR
-                                   and entry.actual_next == -2):
-                self.halted = True
-                return
-            if kind == _K_JR and entry.actual_next == -1:
-                trap = Trap(TrapKind.ADDRESS_ERROR, addr=entry.src_values[0])
-                result.trap = trap
-                raise trap
-            self.rob.pop(0)
-            if self.lsq is not None and (kind == _K_LOAD
-                                         or kind == _K_STORE):
-                self.lsq.retire(entry)
-            if kind == _K_PRINT:
-                result.output.append(s32(entry.value))
-            elif kind == _K_STORE:
-                data = (entry.store_data & 0xFFFFFFFF).to_bytes(4, "little")
-                for i in range(entry.mem_size):
-                    self.mem.store_byte(entry.addr + i, data[i])
-            elif entry.value is not None and dec.dst_idx >= 0:
-                arch_regs[dec.dst_idx] = entry.value
-            for di in dec.def_idxs:
-                if rename.get(di) is entry:
-                    del rename[di]
-            if kind != _K_NOP:
-                result.instr_count += 1
-            else:
-                result.nop_count += 1
-
     # -------------------------------------------------------------------- run
     def run(self) -> ExecutionResult:
-        commit = self._commit
-        writeback = self._writeback
-        issue = self._issue
-        dispatch = self._dispatch
-        fetch = self._fetch
+        cfg = self.config
+        fetch_width = cfg.fetch_width
+        fetch_rate = cfg.fetch_rate
+        fetch_buffer = cfg.fetch_buffer
+        commit_width = cfg.commit_width
+        issue_width = cfg.issue_width
+        rob_entries = cfg.rob_entries
+        stations = cfg.reservation_stations
+        no_rename = not cfg.rename
+        redirect_delay = 1 + cfg.taken_fetch_bubble
+        restart_delay = cfg.mispredict_restart
         max_cycles = self.max_cycles
-        st = self._stats_hot
+        decs = self._dec
+        ninstrs = len(decs)
+        arch_regs = self.arch_regs
+        mem = self.mem
+        mem_check = mem.check
+        btb = self.btb
         lsq = self.lsq
-        while not self.halted:
-            self.cycle += 1
-            if self.cycle > max_cycles:
-                raise RuntimeError(f"exceeded {max_cycles} cycles")
-            if lsq is not None:
-                lsq.occupancy_sum += len(lsq.entries)
-            if st is not None:
-                st.note_dynamic_cycle(len(self.rob), len(self.fetch_queue),
-                                      self.cycle < self._fetch_resume)
-            commit()
-            if self.halted:
-                break
-            writeback()
-            issue()
-            dispatch()
-            fetch()
-            if (not self.rob and not self.fetch_queue
-                    and self.fetch_idx is None
-                    and self.fetch_stalled_on is None):
-                break
-        self.result.cycle_count = self.cycle
+        speculate = lsq is not None and lsq.speculate
+        st = self._stats_hot
+        result = self.result
+        output = result.output
+
+        # Machine state.  ``unissued`` holds the dispatched entries still
+        # waiting for operands or a unit, in program order (its length is
+        # the reservation-station count); ``resolving`` is the branch or jr
+        # issued last cycle — both have latency 1 and there is one branch
+        # unit, so it is the only entry writeback can act on.
+        rob: deque = deque()
+        fq: deque = deque()
+        unissued: list = []
+        rename: dict = {}
+        tokens: dict = {}
+        next_token = EXIT_TOKEN + _TOKEN_STRIDE
+        seq = 0
+        fetch_idx: Optional[int] = self.entry_idx[self.program.entry]
+        fetch_stalled_on = None       # jr that missed in the BTB
+        fetch_resume = 0
+        muldiv_free = 0               # the multiply/divide unit is unpipelined
+        mem_free = 0
+        resolving = None
+        cycle = self.cycle
+        halted = self.halted
+        instr_count = nop_count = branch_count = mispredict_count = 0
+        memdep_squashes = memdep_stall_cycles = 0
+        try:
+            while True:
+                cycle += 1
+                if cycle > max_cycles:
+                    raise RuntimeError(f"exceeded {max_cycles} cycles")
+                if lsq is not None:
+                    lsq.occupancy_sum += len(lsq.entries)
+                if st is not None:
+                    st.note_dynamic_cycle(len(rob), len(fq),
+                                          cycle < fetch_resume)
+
+                # ---- commit: retire completed entries in program order
+                n = commit_width
+                while n and rob:
+                    e = rob[0]
+                    if e.complete_cycle >= cycle:
+                        break
+                    dec = e.dec
+                    if e.trap is not None:
+                        e.trap.instr_uid = dec.instr.uid
+                        result.trap = e.trap
+                        result.cycle_count = cycle
+                        raise e.trap
+                    kind = dec.kind
+                    if kind == _K_HALT or (kind == _K_JR
+                                           and e.actual_next == -2):
+                        halted = True
+                        break
+                    if kind == _K_JR and e.actual_next == -1:
+                        result.trap = Trap(TrapKind.ADDRESS_ERROR, addr=e.a)
+                        raise result.trap
+                    rob.popleft()
+                    if lsq is not None and dec.is_mem:
+                        lsq.retire(e)
+                    if kind == _K_PRINT:
+                        output.append(s32(e.value))
+                    elif kind == _K_STORE:
+                        if e.mem_size == 4:
+                            mem.store_word(e.addr, e.store_data)
+                        else:
+                            mem.store_byte(e.addr, e.store_data)
+                    elif e.value is not None and dec.dst_idx >= 0:
+                        arch_regs[dec.dst_idx] = e.value
+                    if dec.def_idx >= 0 and rename.get(dec.def_idx) is e:
+                        del rename[dec.def_idx]
+                    if kind != _K_NOP:
+                        instr_count += 1
+                    else:
+                        nop_count += 1
+                    n -= 1
+                if halted:
+                    break
+
+                # ---- writeback: verify control flow resolved last cycle
+                if resolving is not None:
+                    e = resolving
+                    resolving = None
+                    if not e.flushed:
+                        dec = e.dec
+                        nxt = e.actual_next
+                        if dec.kind == _K_CBR:
+                            branch_count += 1
+                            btb.update(dec.pc, bool(e.value), dec.target_idx)
+                            wrong = e.predicted_next != nxt
+                        else:  # jr; the program exit is handled at commit
+                            btb.update(dec.pc, True, nxt if nxt >= 0 else 0)
+                            if fetch_stalled_on is e:
+                                fetch_stalled_on = None
+                                fetch_idx = nxt if nxt >= 0 else None
+                                fetch_resume = cycle + redirect_delay
+                                wrong = False
+                            else:
+                                wrong = e.predicted_next != nxt
+                        if wrong:
+                            mispredict_count += 1
+                            if st is not None:
+                                st.flushes += 1
+                            next_token = _squash(rob, fq, unissued, rename,
+                                                 lsq, e.seq, next_token)
+                            fetch_stalled_on = None
+                            fetch_idx = nxt if nxt >= 0 else None
+                            fetch_resume = cycle + restart_delay
+
+                # ---- issue: oldest ready entries to free units
+                if unissued:
+                    n = 0
+                    alu_used = shift_used = branch_used = 0
+                    memdep_wait = False
+                    victim = None
+                    for e in unissued:
+                        if n >= issue_width:
+                            break
+                        pa = e.pa
+                        if pa is not None and pa.complete_cycle > cycle:
+                            continue
+                        pb = e.pb
+                        if pb is not None and pb.complete_cycle > cycle:
+                            continue
+                        dec = e.dec
+                        slot = dec.fu_slot
+                        if slot == _FU_ALU:
+                            if alu_used >= 2:
+                                continue
+                        elif slot == _FU_SHIFT:
+                            if shift_used:
+                                continue
+                        elif slot == _FU_BRANCH:
+                            if branch_used:
+                                continue
+                        elif slot == _FU_MULDIV:
+                            if muldiv_free > cycle:
+                                continue
+                        elif slot == _FU_MEM:
+                            if mem_free > cycle:
+                                continue
+                        a = e.a if pa is None else pa.value
+                        b = e.b if pb is None else pb.value
+                        kind = dec.kind
+                        if kind == _K_ALU:
+                            try:
+                                e.value = dec.alu_fn(a, b, dec.imm)
+                            except Trap as trap:
+                                trap.instr_uid = dec.instr.uid
+                                e.trap = trap
+                            e.complete_cycle = cycle + dec.latency
+                            if slot == _FU_MULDIV:
+                                muldiv_free = cycle + dec.latency
+                            elif slot == _FU_SHIFT:
+                                shift_used += 1
+                            else:
+                                alu_used += 1
+                        elif kind == _K_LOAD:
+                            addr = e.addr = (a + dec.imm) & 0xFFFFFFFF
+                            size = e.mem_size = dec.mem_size
+                            if lsq is not None:
+                                probe = lsq.probe_load(e)
+                                if probe.wait:
+                                    memdep_wait = True
+                                    continue
+                                fwd = -1 if probe.value is None \
+                                    else probe.value
+                                e.mem_speculative = probe.speculative
+                                e.fwd_seq = probe.fwd_seq
+                            else:
+                                # Wait for every older store address; an
+                                # exact match forwards the youngest's data,
+                                # a partial overlap waits for its commit.
+                                fwd = -1
+                                for o in rob:
+                                    if o.seq >= e.seq:
+                                        break
+                                    if not o.dec.is_store:
+                                        continue
+                                    o_lo = o.addr
+                                    if o_lo is None:
+                                        fwd = None
+                                        break
+                                    o_size = o.mem_size
+                                    if o_lo + o_size <= addr \
+                                            or addr + size <= o_lo:
+                                        continue
+                                    if o_lo != addr or o_size != size:
+                                        fwd = None
+                                        break
+                                    fwd = -1 if o.store_data is None \
+                                        else o.store_data
+                                if fwd is None:
+                                    continue
+                            try:
+                                mem_check(addr, size)
+                            except Trap as trap:
+                                e.trap = trap
+                            else:
+                                if fwd != -1:
+                                    value = fwd & (0xFFFFFFFF if size == 4
+                                                   else 0xFF)
+                                else:
+                                    value = int.from_bytes(
+                                        mem.read_bytes(addr, size), "little")
+                                if dec.is_lb and value >= 0x80:
+                                    value -= 0x100
+                                e.value = value & 0xFFFFFFFF
+                            e.complete_cycle = cycle + dec.latency
+                            mem_free = cycle + 1
+                        elif kind == _K_STORE:
+                            addr = e.addr = (b + dec.imm) & 0xFFFFFFFF
+                            size = e.mem_size = dec.mem_size
+                            e.store_data = a
+                            try:
+                                mem_check(addr, size)
+                            except Trap as trap:
+                                e.trap = trap
+                            e.complete_cycle = cycle + 1
+                            mem_free = cycle + 1
+                            if speculate:
+                                # The address just resolved: did a younger
+                                # load already execute past it on a bad bet?
+                                victim = lsq.aliasing_victim(e)
+                        elif kind == _K_CBR:
+                            taken = dec.cbr_fn(a, b)
+                            e.actual_next = (dec.target_idx if taken
+                                             else e.idx + 1)
+                            e.value = int(taken)
+                            e.complete_cycle = cycle + 1
+                            branch_used += 1
+                            resolving = e
+                        elif kind == _K_JAL:
+                            tokens[next_token] = e.idx + 1
+                            e.value = next_token
+                            next_token += _TOKEN_STRIDE
+                            e.complete_cycle = cycle + 1
+                            branch_used += 1
+                        elif kind == _K_JR:
+                            e.a = a           # a bad target traps with it
+                            if a == EXIT_TOKEN:
+                                e.actual_next = -2
+                            else:
+                                e.actual_next = tokens.get(a, -1)
+                                resolving = e
+                            e.complete_cycle = cycle + 1
+                            branch_used += 1
+                        elif kind != _K_OTHER:
+                            # J resolves at fetch; HALT/PRINT act at commit.
+                            if dec.nsrc:
+                                e.value = a
+                            e.complete_cycle = cycle + 1
+                            if slot == _FU_BRANCH:
+                                branch_used += 1
+                            elif slot == _FU_ALU:
+                                alu_used += 1
+                        else:
+                            raise ValueError(
+                                f"execute_alu cannot evaluate {dec.instr}")
+                        e.done = True
+                        n += 1
+                        if victim is not None:
+                            # Squash from the load and stop issuing: the
+                            # tail of ``unissued`` has just been flushed.
+                            memdep_squashes += 1
+                            if st is not None:
+                                st.flushes += 1
+                            next_token = _squash(rob, fq, unissued, rename,
+                                                 lsq, victim.seq - 1,
+                                                 next_token)
+                            fetch_stalled_on = None
+                            fetch_idx = victim.idx
+                            fetch_resume = cycle + restart_delay
+                            break
+                    if memdep_wait:
+                        memdep_stall_cycles += 1
+                    if n:
+                        unissued = [e for e in unissued if not e.done]
+
+                # ---- dispatch: rename into the ROB, in program order
+                n = fetch_width
+                while n and fq:
+                    if len(rob) >= rob_entries or len(unissued) >= stations:
+                        break
+                    e = fq[0]
+                    dec = e.dec
+                    if (lsq is not None and dec.is_mem
+                            and len(lsq.entries) >= lsq.size):
+                        break  # no free LSQ slot: memory ops stall dispatch
+                    di = dec.def_idx
+                    if no_rename and di >= 0:
+                        # Without renaming: one outstanding write per
+                        # register.
+                        p = rename.get(di)
+                        if p is not None and not p.done:
+                            if st is not None:
+                                st.rename_stall_events += 1
+                            break
+                    fq.popleft()
+                    r = dec.src_a
+                    e.pa = None
+                    if r < 0:
+                        e.a = 0
+                    else:
+                        p = rename.get(r)
+                        if p is None:
+                            e.a = arch_regs[r]
+                        elif p.done:
+                            e.a = arch_regs[r] if p.value is None else p.value
+                        else:
+                            e.pa = p
+                    r = dec.src_b
+                    e.pb = None
+                    if r < 0:
+                        e.b = 0
+                    else:
+                        p = rename.get(r)
+                        if p is None:
+                            e.b = arch_regs[r]
+                        elif p.done:
+                            e.b = arch_regs[r] if p.value is None else p.value
+                        else:
+                            e.pb = p
+                    if di >= 0:
+                        rename[di] = e
+                    rob.append(e)
+                    unissued.append(e)
+                    if lsq is not None and dec.is_mem:
+                        lsq.allocate(e)
+                    n -= 1
+
+                # ---- fetch: follow the predicted path
+                if (cycle >= fetch_resume and fetch_idx is not None
+                        and fetch_stalled_on is None):
+                    # Variable fetch rate: widen fetch while the queue
+                    # refills after a redirect (or at start-up).
+                    n = (fetch_rate if fetch_rate > fetch_width and not fq
+                         else fetch_width)
+                    while n and len(fq) < fetch_buffer:
+                        idx = fetch_idx
+                        if idx >= ninstrs:
+                            fetch_idx = None
+                            break
+                        seq += 1
+                        dec = decs[idx]
+                        e = _Entry(seq, idx, dec)
+                        fq.append(e)
+                        n -= 1
+                        if not dec.is_term:
+                            fetch_idx = idx + 1
+                            continue
+                        kind = dec.kind
+                        if kind == _K_CBR:
+                            hit = btb.lookup(dec.pc)
+                            nxt = e.predicted_next = (
+                                dec.target_idx if hit is not None and hit[0]
+                                else idx + 1)  # fall through on a miss
+                        elif kind == _K_J or kind == _K_JAL:
+                            nxt = dec.target_idx
+                        elif kind == _K_JR:
+                            hit = btb.lookup(dec.pc)
+                            if hit is None:
+                                e.predicted_next = None
+                                fetch_stalled_on = e
+                                fetch_idx = None
+                                break
+                            nxt = e.predicted_next = hit[1]
+                        elif kind == _K_HALT:
+                            fetch_idx = None
+                            break
+                        else:
+                            raise ValueError(
+                                f"unhandled terminator {dec.instr}")
+                        fetch_idx = nxt
+                        if nxt != idx + 1:
+                            # Redirected fetch: pay the taken-branch bubble.
+                            fetch_resume = cycle + redirect_delay
+                            break
+
+                if (not rob and not fq and fetch_idx is None
+                        and fetch_stalled_on is None):
+                    break
+            result.cycle_count = cycle
+        finally:
+            # Every exit — halt, drain, trap, cycle limit — leaves the
+            # observable state on the simulator.
+            self.cycle = cycle
+            self.halted = halted
+            result.instr_count += instr_count
+            result.nop_count += nop_count
+            result.branch_count += branch_count
+            result.mispredict_count += mispredict_count
+            self.memdep_squashes += memdep_squashes
+            self.memdep_stall_cycles += memdep_stall_cycles
         if self._stats is not None:
             self._stats.finalize_dynamic(self)
-            self.result.sim_stats = self._stats
-        return self.result
+            result.sim_stats = self._stats
+        return result
 
 
 def run_dynamic(program: Program, rename: bool = True,
