@@ -446,8 +446,19 @@ class DynamicSim:
                         elif slot == _FU_MEM:
                             if mem_free > cycle:
                                 continue
-                        a = e.a if pa is None else pa.value
-                        b = e.b if pb is None else pb.value
+                        # Capture in-flight operands and drop the producer
+                        # links, so a dependence chain cannot keep every
+                        # committed entry behind it alive.
+                        if pa is None:
+                            a = e.a
+                        else:
+                            a = e.a = pa.value
+                            e.pa = None
+                        if pb is None:
+                            b = e.b
+                        else:
+                            b = e.b = pb.value
+                            e.pb = None
                         kind = dec.kind
                         if kind == _K_ALU:
                             try:
@@ -544,7 +555,6 @@ class DynamicSim:
                             e.complete_cycle = cycle + 1
                             branch_used += 1
                         elif kind == _K_JR:
-                            e.a = a           # a bad target traps with it
                             if a == EXIT_TOKEN:
                                 e.actual_next = -2
                             else:
