@@ -270,7 +270,6 @@ class DynamicSim:
         self.btb = BranchTargetBuffer(self.config.btb_entries,
                                       self.config.btb_ways)
         self.cycle = 0
-        self.halted = False
         self.result = ExecutionResult()
         # Load/store queue (None = conservative legacy memory pipeline).
         cfg = self.config
@@ -328,7 +327,7 @@ class DynamicSim:
         mem_free = 0
         resolving = None
         cycle = self.cycle
-        halted = self.halted
+        halted = False
         instr_count = nop_count = branch_count = mispredict_count = 0
         memdep_squashes = memdep_stall_cycles = 0
         try:
@@ -702,7 +701,6 @@ class DynamicSim:
             # Every exit — halt, drain, trap, cycle limit — leaves the
             # observable state on the simulator.
             self.cycle = cycle
-            self.halted = halted
             result.instr_count += instr_count
             result.nop_count += nop_count
             result.branch_count += branch_count
