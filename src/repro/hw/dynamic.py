@@ -35,8 +35,9 @@ flat branch targets.  :meth:`DynamicSim.run` is one loop that does commit,
 writeback, issue, dispatch and fetch inline on machine state held in local
 variables.  The state is kept up to date as instructions move instead of
 being rescanned: issue walks only the dispatched-but-unissued entries,
-writeback looks only at the branch or ``jr`` issued the cycle before, and
-only :func:`_squash` walks the reorder buffer.
+and writeback looks only at the branch or ``jr`` issued the cycle before.
+The reorder buffer is walked only by :func:`_squash` and, without an LSQ,
+by a ready load looking for its older stores.
 """
 
 from __future__ import annotations
