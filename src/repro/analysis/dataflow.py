@@ -41,7 +41,8 @@ def solve_backward(
     out: dict[str, frozenset[T]] = {lab: frozenset() for lab in labels}
 
     order = cfg.rpo()
-    worklist = list(reversed(order)) + [lab for lab in labels if lab not in set(order)]
+    reachable = set(order)
+    worklist = list(reversed(order)) + [lab for lab in labels if lab not in reachable]
     pending = set(worklist)
     while worklist:
         label = worklist.pop()

@@ -55,7 +55,8 @@ class Dominators:
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
         order = cfg.rpo()
-        preds = {label: [p for p in cfg.preds(label) if p in set(order)]
+        reachable = set(order)
+        preds = {label: [p for p in cfg.preds(label) if p in reachable]
                  for label in order}
         self.idom = _compute_idoms(order, preds, cfg.proc.entry.label)
         self._depth: dict[str, int] = {}
@@ -107,7 +108,8 @@ class PostDominators:
             rev_preds[e].append(_VIRTUAL_EXIT)
 
         order = self._rpo(_VIRTUAL_EXIT, rev_succs)
-        preds_in_order = {lab: [p for p in rev_preds[lab] if p in set(order)]
+        in_order = set(order)
+        preds_in_order = {lab: [p for p in rev_preds[lab] if p in in_order]
                           for lab in order}
         self.ipdom = _compute_idoms(order, preds_in_order, _VIRTUAL_EXIT)
 

@@ -47,23 +47,20 @@ class Liveness:
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        proc = cfg.proc
-
-        def gen(label: str) -> frozenset[Reg]:
+        # GEN (upward-exposed uses) and KILL (definitions), one scan a block.
+        gen: dict[str, frozenset[Reg]] = {}
+        kill: dict[str, frozenset[Reg]] = {}
+        for block in cfg.proc.blocks:
             upward: set[Reg] = set()
             defined: set[Reg] = set()
-            for instr in proc.block(label).instructions():
+            for instr in block.instructions():
                 upward.update(u for u in instr_uses(instr) if u not in defined)
                 defined.update(instr_defs(instr))
-            return frozenset(upward)
+            gen[block.label] = frozenset(upward)
+            kill[block.label] = frozenset(defined)
 
-        def kill(label: str) -> frozenset[Reg]:
-            defined: set[Reg] = set()
-            for instr in proc.block(label).instructions():
-                defined.update(instr_defs(instr))
-            return frozenset(defined)
-
-        result = solve_backward(cfg, gen, kill, boundary=RETURN_LIVE)
+        result = solve_backward(cfg, gen.__getitem__, kill.__getitem__,
+                                boundary=RETURN_LIVE)
         self.live_in: dict[str, frozenset[Reg]] = result.in_
         self.live_out: dict[str, frozenset[Reg]] = result.out
 

@@ -145,66 +145,26 @@ class Opcode(enum.Enum):
     HALT = OpInfo("halt", FU.BRANCH, Format.NONE)
     PRINT = OpInfo("print", FU.ALU, Format.SRC1)
 
-    @property
-    def info(self) -> OpInfo:
-        return self.value
-
-    # Convenience pass-throughs so call sites read ``op.is_load`` etc.
-    @property
-    def fu(self) -> FU:
-        return self.value.fu
-
-    @property
-    def fmt(self) -> Format:
-        return self.value.fmt
-
-    @property
-    def latency(self) -> int:
-        return self.value.latency
-
-    @property
-    def can_except(self) -> bool:
-        return self.value.can_except
-
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.value.is_cond_branch
-
-    @property
-    def is_jump(self) -> bool:
-        return self.value.is_jump
-
-    @property
-    def is_branch(self) -> bool:
-        return self.value.is_branch
-
-    @property
-    def is_call(self) -> bool:
-        return self.value.is_call
-
-    @property
-    def is_indirect(self) -> bool:
-        return self.value.is_indirect
-
-    @property
-    def is_load(self) -> bool:
-        return self.value.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.value.is_store
-
-    @property
-    def is_mem(self) -> bool:
-        return self.value.is_mem
-
-    @property
-    def writes_dst(self) -> bool:
-        return self.value.writes_dst
-
-    @property
-    def mnemonic(self) -> str:
-        return self.value.mnemonic
+    def __init__(self, info: OpInfo) -> None:
+        # Plain attributes so call sites read ``op.is_load`` etc. without a
+        # property call and a trip through the enum's ``value`` descriptor:
+        # the passes and simulators read these flags millions of times.
+        self.info = info
+        self.mnemonic = info.mnemonic
+        self.fu = info.fu
+        self.fmt = info.fmt
+        self.latency = info.latency
+        self.can_except = info.can_except
+        self.is_cond_branch = info.is_cond_branch
+        self.is_jump = info.is_jump
+        self.is_call = info.is_call
+        self.is_indirect = info.is_indirect
+        self.is_load = info.is_load
+        self.is_store = info.is_store
+        self.writes_dst = info.writes_dst
+        self.commutative = info.commutative
+        self.is_branch = info.is_branch
+        self.is_mem = info.is_mem
 
 
 #: Mnemonic -> Opcode lookup for the assembly parser.

@@ -17,10 +17,25 @@ from repro.opt.regalloc import (
 from repro.program.procedure import Program
 
 
+def _snapshot(program: Program) -> list:
+    """Block labels and instruction fields in layout order: all of the IR
+    the optimization passes read or write."""
+    return [(block.label, [(i.op, i.dst, i.srcs, i.imm, i.target, i.uid)
+                           for i in block.instructions()])
+            for proc in program.procedures.values() for block in proc.blocks]
+
+
 def optimize_program(program: Program, max_rounds: int = 10) -> Program:
-    """Run the scalar optimization pipeline to a fixed point (in place)."""
+    """Run the scalar optimization pipeline to a fixed point (in place).
+
+    A round that reports changes can still leave the IR as it found it:
+    folding turns ``move d, s`` with ``s`` a known constant into ``li d, c``,
+    and CSE turns the repeated ``li`` back into the ``move``.  Every later
+    round would do the same, so the pipeline stops there too.
+    """
     program.invalidate_caches()
     clean_program(program)
+    before = _snapshot(program)
     for _ in range(max_rounds):
         changed = fold_program(program)
         changed |= propagate_program(program)
@@ -30,6 +45,10 @@ def optimize_program(program: Program, max_rounds: int = 10) -> Program:
         clean_program(program)
         if not changed:
             break
+        after = _snapshot(program)
+        if after == before:
+            break
+        before = after
     return program
 
 

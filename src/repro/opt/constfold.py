@@ -85,7 +85,7 @@ def _to_immediate_form(instr: Instruction,
         return None
     a, b = instr.srcs
     cb = _const_of(consts, b)
-    if cb is None and instr.op.value.commutative:
+    if cb is None and instr.op.info.commutative:
         ca = _const_of(consts, a)
         if ca is not None:
             a, cb = b, ca

@@ -52,7 +52,7 @@ def cse_block(block: BasicBlock) -> bool:
         key: Optional[tuple] = None
         if op in _PURE and instr.dst is not None:
             srcs = instr.srcs
-            if op.value.commutative:
+            if op.info.commutative:
                 vns = tuple(sorted(vn_of(r) for r in srcs))
             else:
                 vns = tuple(vn_of(r) for r in srcs)

@@ -70,9 +70,9 @@ def _make_preheader(proc: Procedure, cfg: CFG, loop) -> BasicBlock | None:
     return pre
 
 
-def _hoist_loop(proc: Procedure, loop) -> bool:
-    cfg = CFG(proc)
-    live = Liveness(cfg)
+def _hoist_loop(proc: Procedure, cfg: CFG, live: Liveness, loop) -> bool:
+    """Hoist ``loop``'s invariants into a new preheader.  When it returns
+    False it has not touched ``proc``, so ``cfg`` and ``live`` still hold."""
     header_live_in = live.live_in[loop.header]
 
     loop_blocks = [b for b in proc.blocks if b.label in loop.blocks]
@@ -127,15 +127,19 @@ def _hoist_loop(proc: Procedure, loop) -> bool:
 def licm_procedure(proc: Procedure, max_rounds: int = 100) -> bool:
     changed = False
     for _ in range(max_rounds):
-        tree = RegionTree(CFG(proc))
+        # One set of analyses a round: a failed hoist leaves the procedure
+        # as it was, and the round ends at the first hoist that succeeds.
+        cfg = CFG(proc)
+        tree = RegionTree(cfg)
+        live = Liveness(cfg)
         round_changed = False
         # Innermost loops first: hoisting cascades outward on later rounds.
         for loop in tree.schedule_order():
             if not loop.is_loop:
                 continue
-            if _hoist_loop(proc, loop):
+            if _hoist_loop(proc, cfg, live, loop):
                 round_changed = True
-                break  # CFG changed; rebuild the region tree
+                break  # CFG changed; rebuild the analyses
         if not round_changed:
             break
         changed = True

@@ -33,17 +33,19 @@ class CFG:
     def refresh(self) -> None:
         self._succs.clear()
         self._preds.clear()
-        for block in self.proc.blocks:
-            self._succs[block.label] = self._compute_succs(block)
+        blocks = self.proc.blocks
+        for i, block in enumerate(blocks):
+            fall = blocks[i + 1].label if i + 1 < len(blocks) else None
+            self._succs[block.label] = self._compute_succs(block, fall)
             self._preds.setdefault(block.label, [])
         for label, succs in self._succs.items():
             for succ in succs:
                 self._preds.setdefault(succ, []).append(label)
 
-    def _compute_succs(self, block: BasicBlock) -> list[str]:
+    @staticmethod
+    def _compute_succs(block: BasicBlock,
+                       fall_label: Optional[str]) -> list[str]:
         term = block.terminator
-        fall = self.proc.layout_successor(block.label)
-        fall_label = fall.label if fall is not None else None
         if term is None:
             return [fall_label] if fall_label is not None else []
         op = term.op

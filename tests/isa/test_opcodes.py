@@ -1,6 +1,8 @@
 """Tests for the opcode table."""
 
-from repro.isa import BY_MNEMONIC, FU, Opcode
+import dataclasses
+
+from repro.isa import BY_MNEMONIC, FU, OpInfo, Opcode
 
 
 def test_every_opcode_has_unique_mnemonic():
@@ -46,3 +48,14 @@ def test_fu_assignment_matches_paper_machine():
 def test_muldiv_longer_than_alu():
     assert Opcode.MUL.latency > Opcode.ADD.latency
     assert Opcode.DIV.latency > Opcode.MUL.latency
+
+
+def test_member_attributes_mirror_opinfo():
+    # Every OpInfo field is a plain attribute of the member; a field added
+    # to OpInfo without one fails here.
+    for op in Opcode:
+        assert op.info is op.value
+        for f in dataclasses.fields(OpInfo):
+            assert getattr(op, f.name) == getattr(op.info, f.name), (op, f.name)
+        assert op.is_branch == (op.info.is_cond_branch or op.info.is_jump)
+        assert op.is_mem == (op.info.is_load or op.info.is_store)

@@ -5,14 +5,23 @@ and semantic preservation (functional output unchanged) on a compiled
 program.
 """
 
+import itertools
+
+import pytest
+
+import repro.isa.instruction as isa_instruction
+import repro.opt
 from repro.frontend import compile_source
 from repro.hw.functional import run_functional
 from repro.isa import Instruction, Opcode, Reg, ZERO
 from repro.opt import (
-    clean_cfg, cse_block, dce_procedure, fold_block, licm_procedure,
-    optimize_program, propagate_block,
+    clean_cfg, clean_program, cse_block, cse_program, dce_procedure,
+    dce_program, fold_block, fold_program, licm_procedure, licm_program,
+    optimize_program, propagate_block, propagate_program,
 )
 from repro.program import BasicBlock, ProcBuilder
+from repro.program.procedure import Program, clone_program
+from repro.workloads import all_workloads
 
 T0, T1, T2, T3 = (Reg.named(f"t{i}") for i in range(4))
 
@@ -244,3 +253,65 @@ func main() {
         before = raw.instruction_count()
         optimize_program(raw)
         assert raw.instruction_count() < before
+
+
+def _ir(program: Program) -> list:
+    return [(proc.name, block.label,
+             [(str(i), i.uid, i.origin) for i in block.instructions()])
+            for proc in program.procedures.values() for block in proc.blocks]
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Counts ``optimize_program`` rounds: each one folds once."""
+    count = [0]
+
+    def counting_fold(program):
+        count[0] += 1
+        return fold_program(program)
+
+    monkeypatch.setattr(repro.opt, "fold_program", counting_fold)
+    return count
+
+
+class TestFixedPoint:
+    def test_round_that_undoes_itself_ends_the_loop(self, rounds):
+        # Folding turns each move into ``li v, 0``; CSE turns the repeated
+        # ``li`` back into the move.  Both report a change every round.
+        b = ProcBuilder("main")
+        v0, v1, v2 = b.vreg(), b.vreg(), b.vreg()
+        b.label("entry")
+        b.li(v1, 0)
+        b.move(v0, v1)
+        b.move(v2, v1)
+        b.print_(v0)
+        b.print_(v2)
+        b.halt()
+        program = Program()
+        program.add(b.build())
+        before = _ir(program)
+        optimize_program(program)
+        assert _ir(program) == before
+        assert rounds[0] == 1
+
+    @pytest.mark.parametrize("w", all_workloads(), ids=lambda w: w.name)
+    def test_workload_matches_all_ten_rounds(self, w, rounds, monkeypatch):
+        program = compile_source(w.source)
+        reference = clone_program(program)
+        # Both runs draw fresh uids from the same start, so uids compare.
+        start = next(isa_instruction._uid_counter)
+        monkeypatch.setattr(isa_instruction, "_uid_counter",
+                            itertools.count(start))
+        optimize_program(program)
+        assert rounds[0] <= 4
+        monkeypatch.setattr(isa_instruction, "_uid_counter",
+                            itertools.count(start))
+        clean_program(reference)
+        for _ in range(10):
+            fold_program(reference)
+            propagate_program(reference)
+            licm_program(reference)
+            cse_program(reference)
+            dce_program(reference)
+            clean_program(reference)
+        assert _ir(program) == _ir(reference)
