@@ -48,12 +48,15 @@ class RegionTree:
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
         dom = Dominators(cfg)
-        reachable = set(cfg.rpo())
+        order = cfg.rpo()
+        reachable = set(order)
 
         # Find back edges (tail -> head with head dominating tail) and merge
-        # loops that share a header.
+        # loops that share a header.  Walk the blocks in RPO: the order of
+        # equal-sized loops, and so the schedule, must not depend on how
+        # strings hash.
         loops_by_header: dict[str, set[str]] = {}
-        for tail in reachable:
+        for tail in order:
             for head in cfg.succs(tail):
                 if head in reachable and dom.dominates(head, tail):
                     body = _natural_loop(cfg, head, tail)

@@ -58,7 +58,7 @@ __all__ = ["CODE_VERSION", "CompileCache", "default_cache_dir"]
 #: Version tag of the whole compile pipeline.  Bump on any change to the
 #: front end, optimizer, register allocator, profiler, or schedulers that
 #: can alter their output for unchanged source + config.
-CODE_VERSION = 4
+CODE_VERSION = 5
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 
