@@ -176,60 +176,11 @@ def _open_journal(args: argparse.Namespace, command: str, fingerprint: str,
     return Journal(path, fingerprint, resume=args.resume, facets=facets)
 
 
-def _campaign_dir(args: argparse.Namespace, command: str) -> str:
-    """Where a sharded campaign keeps its per-shard journals and leases."""
-    return (args.journal or f".repro-{command}.journal") + ".shards"
-
-
-def _make_shard_policies(args: argparse.Namespace):
-    """(task policy, shard-restart policy, shard chaos) for ``--shards``.
-
-    In sharded mode ``--chaos`` means *shard-kill* chaos: seeded SIGKILLs
-    of whole shard processes (the worker-level kill/hang/corrupt chaos of
-    the flat mode stays off — the convergence argument is per-layer).  The
-    shard-restart policy reuses the per-task :class:`SupervisionPolicy`
-    one level up: same retry budget, same exponential backoff + seeded
-    jitter.
-    """
-    from repro.harness.coordinator import ShardChaosConfig
-
-    task_policy = None
-    if args.timeout is not None or args.retries is not None:
-        task_policy = SupervisionPolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-            backoff=args.backoff)
-    retries = args.retries if args.retries is not None else 2
-    shard_policy = SupervisionPolicy(
-        retries=retries, backoff=args.backoff,
-        seed=args.chaos if args.chaos is not None else 0)
-    shard_chaos = None
-    if args.chaos is not None:
-        # Never kill a shard more times than its retry budget allows, or
-        # the chaos self-test could not converge to clean output.
-        shard_chaos = ShardChaosConfig(
-            seed=args.chaos, max_shard_faults=min(2, retries))
-    return task_policy, shard_policy, shard_chaos
-
-
-def _shard_summary(command: str, report) -> None:
-    """One stderr line of shard provenance counters (never on stdout —
-    steal/restart counts are timing-dependent, reports must diff clean)."""
-    s = report.stats
-    print(f"{command}: shards={s.shards} restarts={s.restarts} "
-          f"chaos-kills={s.chaos_kills} steals={s.steals} "
-          f"stolen={s.stolen_tasks} salvaged={s.salvaged_tasks} "
-          f"resumed={s.resumed_tasks} failed={s.failed_tasks}",
-          file=sys.stderr)
-
-
 def _resume_hint(args: argparse.Namespace,
                  journal: Optional[Journal]) -> str:
-    if journal is None and getattr(args, "shards", 1) <= 1:
+    if journal is None:
         return ""
     hint = "; resume with --resume"
-    if getattr(args, "shards", 1) > 1:
-        hint += f" --shards {args.shards}"
     if args.journal:
         hint += f" --journal {args.journal}"
     return hint
@@ -330,16 +281,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   sabotage=args.sabotage, configs=BENCH_CONFIG_KEYS,
                   stats=args.stats)
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "bench", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro bench: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "bench", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro bench: {err}", file=sys.stderr)
+        return 2
     t0 = time.time()
     lab = Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
               collect_stats=args.stats)
@@ -355,17 +303,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                             collect_stats=args.stats)
                 clean.populate(jobs=1)
                 clean_text = render_all(clean)
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                lab.populate_sharded(
-                    args.shards, _campaign_dir(args, "bench"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume,
-                    progress=lambda m: print(f"bench: {m}",
-                                             file=sys.stderr, flush=True))
-            elif args.jobs > 1 or policy is not None or journal is not None:
+            if args.jobs > 1 or policy is not None or journal is not None:
                 lab.populate(args.jobs, policy=policy, chaos=chaos,
                              journal=journal)
             text = render_all(lab)
@@ -379,8 +317,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if lab.shard_report is not None:
-        _shard_summary("bench", lab.shard_report)
     print(text)
     if args.stats:
         # Printed after (not inside) render_all so the chaos self-test's
@@ -447,33 +383,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   models=campaign.model_keys, seeds=seeds,
                   seed_start=seed_start)
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "verify", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro verify: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "verify", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro verify: {err}", file=sys.stderr)
+        return 2
     clean_text = None
     try:
         with graceful_signals():
             if args.chaos is not None:
                 # Chaos self-test oracle: the same campaign, clean + serial.
                 clean_text = make_campaign().run(jobs=1).format()
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                summary = campaign.run_sharded(
-                    args.shards, _campaign_dir(args, "verify"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume)
-            else:
-                summary = campaign.run(jobs=args.jobs, policy=policy,
-                                       chaos=chaos, journal=journal)
+            summary = campaign.run(jobs=args.jobs, policy=policy,
+                                   chaos=chaos, journal=journal)
     except JournalError as err:
         print(f"repro verify: {err}", file=sys.stderr)
         return 2
@@ -484,8 +408,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if campaign.shard_report is not None:
-        _shard_summary("verify", campaign.shard_report)
     text = summary.format()
     print(text)
     if not summary.ok:
@@ -525,16 +447,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     facets = dict(command="fuzz", code_version=CODE_VERSION,
                   **campaign.facets())
     fingerprint = Journal.make_fingerprint(**facets)
-    sharded = args.shards > 1
-    policy = _make_policy(args) if not sharded else None
-    chaos = _make_chaos(args, policy) if not sharded else None
-    journal = None
-    if not sharded:
-        try:
-            journal = _open_journal(args, "fuzz", fingerprint, facets)
-        except JournalError as err:
-            print(f"repro fuzz: {err}", file=sys.stderr)
-            return 2
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    try:
+        journal = _open_journal(args, "fuzz", fingerprint, facets)
+    except JournalError as err:
+        print(f"repro fuzz: {err}", file=sys.stderr)
+        return 2
     clean_text = None
     try:
         with graceful_signals():
@@ -547,17 +466,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     sabotage=args.sabotage,
                     dynamic_variants=args.dynamic_variants or None)
                 clean_text = clean_campaign.run(jobs=1).format()
-            if sharded:
-                task_policy, shard_policy, shard_chaos = \
-                    _make_shard_policies(args)
-                summary = campaign.run_sharded(
-                    args.shards, _campaign_dir(args, "fuzz"), fingerprint,
-                    facets=facets, jobs=args.jobs, policy=task_policy,
-                    shard_policy=shard_policy, shard_chaos=shard_chaos,
-                    resume=args.resume)
-            else:
-                summary = campaign.run(jobs=args.jobs, policy=policy,
-                                       chaos=chaos, journal=journal)
+            summary = campaign.run(jobs=args.jobs, policy=policy,
+                                   chaos=chaos, journal=journal)
     except JournalError as err:
         print(f"repro fuzz: {err}", file=sys.stderr)
         return 2
@@ -568,8 +478,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if campaign.shard_report is not None:
-        _shard_summary("fuzz", campaign.shard_report)
     # The chaos comparison uses the pre-triage text: reduction happens once,
     # in the parent, after the merge — it is not part of what parallelism
     # must reproduce byte-for-byte.
@@ -607,121 +515,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                   "from the clean run", file=sys.stderr)
             exit_code = 1
     return exit_code
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service.daemon import CampaignService, ServiceChaosConfig
-
-    chaos = None
-    if args.chaos is not None:
-        retries = args.retries if args.retries is not None else 2
-        # Never kill a runner more times than its retry budget allows, or
-        # the chaos self-test could not converge to clean reports.
-        chaos = ServiceChaosConfig(seed=args.chaos,
-                                   max_faults=min(2, retries))
-    runtime = {"jobs": args.jobs, "timeout": args.timeout,
-               "retries": args.retries, "backoff": args.backoff,
-               "cache_dir": args.cache_dir, "no_cache": args.no_cache}
-    service = CampaignService(
-        args.socket, args.state_dir, queue_bound=args.queue_bound,
-        runtime=runtime, chaos=chaos, resume=args.resume,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown)
-    return asyncio.run(service.run())
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, submit
-
-    try:
-        params = json.loads(args.params)
-    except ValueError as err:
-        print(f"repro submit: --params is not valid JSON: {err}",
-              file=sys.stderr)
-        return 2
-    try:
-        accepted, result = submit(args.socket, args.kind, params,
-                                  deadline=args.deadline,
-                                  wait=not args.detach)
-    except ServiceError as err:
-        print(f"repro submit: {err}", file=sys.stderr)
-        return 2
-    if accepted.get("event") != "accepted":
-        print(f"repro submit: {accepted.get('event', 'rejected')} "
-              f"({accepted.get('reason', '?')}): "
-              f"{accepted.get('message', '')}", file=sys.stderr)
-        return 3
-    print(f"submit: accepted {accepted['job']} "
-          f"(queued={accepted.get('queued')})", file=sys.stderr)
-    if args.detach:
-        print(accepted["job"])
-        return 0
-    if result is None:
-        print("repro submit: the service went away before the job "
-              "finished; poll with `repro status`", file=sys.stderr)
-        return 2
-    if result.get("text"):
-        print(result["text"])
-    state = result.get("state")
-    print(f"submit: {accepted['job']} {state} "
-          f"(attempts={result.get('attempts')})", file=sys.stderr)
-    return 0 if state == "done" else 1
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, status
-
-    try:
-        reply = status(args.socket, job=args.job)
-    except ServiceError as err:
-        print(f"repro status: {err}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(reply, indent=2, sort_keys=True))
-        return 0
-    if reply.get("event") == "error":
-        print(f"repro status: {reply.get('message')}", file=sys.stderr)
-        return 2
-    if args.job is not None:
-        if reply.get("text"):
-            print(reply["text"])
-        print(f"status: {args.job} {reply.get('state')} "
-              f"(attempts={reply.get('attempts')})", file=sys.stderr)
-        return 0
-    print(f"{'id':12s} {'kind':8s} {'state':10s} attempts")
-    for job in reply.get("jobs", []):
-        print(f"{job['id']:12s} {job['kind']:8s} {job['state']:10s} "
-              f"{job['attempts']:>8}")
-    stats = reply.get("stats", {})
-    open_cells = reply.get("breaker_open") or []
-    print(f"status: admitted={stats.get('admitted')} "
-          f"rejected={stats.get('rejected')} "
-          f"completed={stats.get('completed')} "
-          f"failed={stats.get('failed')} "
-          f"deadline-expired={stats.get('deadline_expired')} "
-          f"breaker-open=[{','.join(open_cells)}]"
-          + (" draining" if reply.get("draining") else ""),
-          file=sys.stderr)
-    return 0
-
-
-def cmd_drain(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceError, drain
-
-    try:
-        reply = drain(args.socket)
-    except ServiceError as err:
-        print(f"repro drain: {err}", file=sys.stderr)
-        return 2
-    stats = reply.get("stats", {})
-    print(f"drain: admitted={stats.get('admitted')} "
-          f"rejected={stats.get('rejected')} "
-          f"completed={stats.get('completed')} "
-          f"failed={stats.get('failed')} "
-          f"deadline-expired={stats.get('deadline_expired')}")
-    return 0
 
 
 def cmd_workloads(_args: argparse.Namespace) -> int:
@@ -811,7 +604,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="extra attempts for a timed-out/killed/failed "
                             "task, with exponential backoff + seeded jitter "
                             "(default: 2 once supervision is active)")
-        p.add_argument("--backoff", type=float, default=0.5, metavar="SECS",
+        p.add_argument("--backoff", type=_positive_float, default=0.5,
+                       metavar="SECS",
                        help="base retry backoff, doubling per attempt "
                             "(default: 0.5)")
         p.add_argument("--journal", metavar="PATH", default=None,
@@ -825,15 +619,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="chaos self-test: randomly kill/hang/corrupt "
                             "supervised workers (seeded) and assert the "
-                            "output still matches a clean run; with "
-                            "--shards, SIGKILL whole shard processes "
-                            "instead")
-        p.add_argument("--shards", type=_positive_int, default=1,
-                       metavar="N",
-                       help="split the campaign into N lease-guarded shard "
-                            "processes with journal-backed work stealing "
-                            "and whole-shard crash recovery (default: 1; "
-                            "reports are byte-identical at any N)")
+                            "output still matches a clean run")
 
     p = sub.add_parser("bench", help="regenerate the paper's tables/figures")
     p.add_argument("workloads", nargs="*",
@@ -919,98 +705,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also write campaign stats and divergences as JSON")
     add_parallel_opts(p)
     p.set_defaults(fn=cmd_fuzz)
-
-    def add_socket_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--socket", metavar="PATH",
-                       default=".repro-service.sock",
-                       help="service Unix socket path "
-                            "(default: .repro-service.sock)")
-
-    p = sub.add_parser(
-        "serve",
-        help="run the campaign service daemon (see docs/service.md)")
-    add_socket_opt(p)
-    p.add_argument("--state-dir", metavar="PATH",
-                   default=".repro-service",
-                   help="service state directory: per-job journals, "
-                        "records, and reports (default: .repro-service)")
-    p.add_argument("--queue-bound", type=_positive_int, default=4,
-                   metavar="N",
-                   help="max jobs admitted but not yet terminal; beyond "
-                        "this, submissions get a structured REJECTED busy "
-                        "(default: 4)")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes per campaign job (default: 1)")
-    p.add_argument("--cache-dir", metavar="PATH", default=None,
-                   help="compile-cache directory shared by every job "
-                        "(default: $REPRO_CACHE_DIR or ~/.cache/repro-boost)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the on-disk compile cache")
-    p.add_argument("--timeout", type=_positive_float, default=None,
-                   metavar="SECS",
-                   help="per-task wall-clock timeout inside each job "
-                        "(default: none)")
-    p.add_argument("--retries", type=_nonnegative_int, default=None,
-                   metavar="N",
-                   help="retry budget, both for tasks inside a job and for "
-                        "runner processes that die (default: 2)")
-    p.add_argument("--backoff", type=_positive_float, default=0.5,
-                   metavar="SECS",
-                   help="base retry backoff inside each job (default: 0.5)")
-    p.add_argument("--breaker-threshold", type=_positive_int, default=3,
-                   metavar="N",
-                   help="consecutive timeout/killed failures on one "
-                        "configuration cell before its circuit opens "
-                        "(default: 3)")
-    p.add_argument("--breaker-cooldown", type=_positive_float, default=30.0,
-                   metavar="SECS",
-                   help="seconds an open circuit waits before admitting a "
-                        "half-open probe (default: 30)")
-    p.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                   help="service chaos self-test: seeded SIGKILLs of "
-                        "runner processes mid-job; reports must still "
-                        "converge byte-identically")
-    p.add_argument("--resume", action="store_true",
-                   help="re-adopt non-terminal jobs from a previous daemon "
-                        "life; their reports are byte-identical to an "
-                        "uninterrupted run")
-    p.set_defaults(fn=cmd_serve)
-
-    from repro.service.protocol import JOB_KINDS
-
-    p = sub.add_parser(
-        "submit", help="submit a campaign job to the service")
-    p.add_argument("kind", choices=JOB_KINDS,
-                   help="campaign kind to run")
-    add_socket_opt(p)
-    p.add_argument("--params", metavar="JSON", default="{}",
-                   help="campaign parameters as a JSON object, e.g. "
-                        "'{\"workloads\": [\"matmul\"]}' — see "
-                        "docs/service.md for each kind's parameters")
-    p.add_argument("--deadline", type=_positive_float, default=None,
-                   metavar="SECS",
-                   help="wall-clock budget from admission; an expired job "
-                        "returns a structured partial report "
-                        "(default: none)")
-    p.add_argument("--detach", action="store_true",
-                   help="exit after admission (prints the job id); poll "
-                        "with `repro status`")
-    p.set_defaults(fn=cmd_submit)
-
-    p = sub.add_parser("status", help="query the campaign service")
-    add_socket_opt(p)
-    p.add_argument("--job", metavar="ID", default=None,
-                   help="show one job's detail (including its report when "
-                        "terminal) instead of the overview")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw response object")
-    p.set_defaults(fn=cmd_status)
-
-    p = sub.add_parser(
-        "drain",
-        help="gracefully drain the service: finish in-flight jobs, stop")
-    add_socket_opt(p)
-    p.set_defaults(fn=cmd_drain)
 
     p = sub.add_parser("workloads", help="list the workload suite")
     p.set_defaults(fn=cmd_workloads)

@@ -1,14 +1,10 @@
 """Experiment harness: compile pipeline, experiment drivers, reporting."""
 
-from repro.harness.coordinator import (
-    ShardChaosConfig, ShardReport, run_sharded,
-)
 from repro.harness.experiments import (
     CONFIGS, DYNAMIC_CONFIGS, DynamicMatrixRow, Figure8Row, Figure9Row, Lab,
     Table1Row, Table2Row, dynamic_matrix, figure8, figure9, geometric_mean,
     table1, table2,
 )
-from repro.harness.fsutil import Lease, LeaseInfo
 from repro.harness.pipeline import (
     CompileConfig, CompiledProgram, SCALAR_CONFIG, annotate_predictions,
     compile_ir, compile_minic, make_input_image,
@@ -25,12 +21,11 @@ from repro.harness.resilience import (
 __all__ = [
     "CONFIGS", "CampaignInterrupted", "ChaosConfig", "CompileConfig",
     "CompiledProgram", "DYNAMIC_CONFIGS", "DynamicMatrixRow", "Figure8Row",
-    "Figure9Row", "Journal", "JournalError", "Lab", "Lease", "LeaseInfo",
-    "SCALAR_CONFIG", "ShardChaosConfig", "ShardReport", "SupervisionPolicy",
-    "Table1Row", "Table2Row", "annotate_predictions", "compile_ir",
-    "compile_minic", "dynamic_matrix", "figure8", "figure9",
+    "Figure9Row", "Journal", "JournalError", "Lab", "SCALAR_CONFIG",
+    "SupervisionPolicy", "Table1Row", "Table2Row", "annotate_predictions",
+    "compile_ir", "compile_minic", "dynamic_matrix", "figure8", "figure9",
     "geometric_mean", "graceful_signals", "make_input_image", "render_all",
     "render_dynamic_matrix", "render_figure8", "render_figure9",
-    "render_table1", "render_table2", "run_sharded", "table1", "table2",
+    "render_table1", "render_table2", "table1", "table2",
     "write_experiments_md",
 ]

@@ -118,9 +118,6 @@ class Lab:
         self.failures: dict[tuple[str, str], dict] = {}
         #: journal keys of cells restored by ``populate(journal=...)``
         self.resumed: set[tuple[str, str]] = set()
-        #: :class:`repro.harness.coordinator.ShardReport` from the last
-        #: :meth:`populate_sharded` call, for report provenance sections
-        self.shard_report = None
 
     def workload(self, name: str) -> Workload:
         for w in self.workloads:
@@ -236,11 +233,6 @@ class Lab:
         todo: list[tuple[str, str]] = []
         for wname, key in cells:
             jkey = f"{wname}/{key}"
-            if (wname, key) in self.errors:
-                # Pre-failed cell (e.g. the campaign service's circuit
-                # breaker): never runs, never journaled — a later run with
-                # the circuit closed must be free to compute it.
-                continue
             if journal is not None and jkey in journal.completed:
                 result, cell_error = journal.completed[jkey]
                 self.resumed.add((wname, key))
@@ -304,57 +296,6 @@ class Lab:
                 self.errors[(wname, key)] = cell_error
             elif result is not None:
                 self._measured[(wname, key)] = result
-
-
-    def populate_sharded(self, shards: int, campaign_dir, fingerprint: str,
-                         facets: Optional[dict] = None, jobs: int = 1,
-                         policy=None, shard_policy=None, shard_chaos=None,
-                         resume: bool = False, lease_ttl: float = 15.0,
-                         progress=None):
-        """Pre-compute every bench cell across ``shards`` independent
-        lease-guarded worker processes (see
-        :mod:`repro.harness.coordinator`).
-
-        Each shard runs the supervised pool over its round-robin slice of
-        the cell matrix, checkpointing into its own journal under
-        ``campaign_dir``; crashed shards are respawned or their journals
-        stolen by survivors, and the merge back into this lab is in serial
-        cell order — so the rendered report is byte-identical to a serial
-        run.  Cells a shard could not recover degrade to structured
-        :attr:`failures` (kind ``shard`` when the whole shard was lost)
-        and ``ERR`` cells.  Returns the
-        :class:`~repro.harness.coordinator.ShardReport` (also stored on
-        :attr:`shard_report`).
-        """
-        from repro.harness.coordinator import run_sharded
-
-        cells = [(w.name, key)
-                 for w in self.workloads for key in BENCH_CONFIG_KEYS]
-        keys = [f"{wname}/{key}" for wname, key in cells]
-        cache_dir = (str(self.cache.cache_dir) if self.cache is not None
-                     else None)
-        tasks = [(wname, key, self.sabotage, cache_dir, self.collect_stats)
-                 for wname, key in cells]
-        report = run_sharded(
-            _cell_worker, tasks, keys, campaign_dir, fingerprint,
-            facets=facets, shards=shards, jobs=jobs, policy=policy,
-            shard_policy=shard_policy, shard_chaos=shard_chaos,
-            lease_ttl=lease_ttl, resume=resume, progress=progress)
-        for (wname, key), jkey in zip(cells, keys):
-            if jkey in report.completed:
-                result, cell_error = report.completed[jkey]
-                if cell_error is not None:
-                    self.errors[(wname, key)] = cell_error
-                elif result is not None:
-                    self._measured[(wname, key)] = result
-            else:
-                info = report.failures.get(jkey) or {
-                    "kind": "shard", "attempts": 0,
-                    "error": "cell missing from every shard journal"}
-                self.errors[(wname, key)] = info["error"]
-                self.failures[(wname, key)] = info
-        self.shard_report = report
-        return report
 
 
 def _cell_worker(task: tuple) -> tuple[Optional[ExecutionResult],

@@ -101,9 +101,9 @@ def run_tasks(worker: Callable[[Any], Any], tasks: Sequence[Any],
 
     ``worker`` must be a module-level function and each task picklable when
     execution crosses a process boundary (``jobs > 1``, a ``policy`` with a
-    wall-clock timeout or batch deadline, or ``chaos``).  Worker processes
-    use the ``fork`` start method where available so they inherit imported
-    modules instead of re-importing them.
+    wall-clock timeout, or ``chaos``).  Worker processes use the ``fork``
+    start method where available so they inherit imported modules instead
+    of re-importing them.
 
     ``policy`` is a :class:`repro.harness.resilience.SupervisionPolicy`
     (per-task timeouts, bounded retries with seeded backoff); ``chaos`` a

@@ -352,8 +352,6 @@ def bench_json(lab: Lab) -> dict:
         "dynamic_matrix": {"rows": [asdict(r) for r in dm_rows],
                            "geomeans": dm_means},
         "stats": stats_json(lab),
-        "shards": (lab.shard_report.to_json()
-                   if lab.shard_report is not None else None),
         "errors": {f"{w}/{c}": text
                    for (w, c), text in sorted(lab.errors.items())},
         "failures": {f"{w}/{c}": info

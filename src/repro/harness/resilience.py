@@ -108,13 +108,6 @@ class SupervisionPolicy:
     drawn from a generator seeded by ``(seed, task index, attempt)`` — fully
     deterministic, so a retried campaign replays the exact same schedule and
     stays byte-identical.
-
-    ``deadline`` bounds the whole *batch*, not one task: once that many
-    wall-clock seconds have elapsed since the pool started, in-flight tasks
-    are cancelled (their workers killed) and every unfinished task is
-    recorded as a structured ``kind:"deadline"`` failure instead of running.
-    This is the cancellation path the campaign service's per-request
-    deadlines propagate into.
     """
 
     timeout: Optional[float] = None   # per-task wall-clock seconds
@@ -123,7 +116,6 @@ class SupervisionPolicy:
     backoff_cap: float = 30.0
     jitter: float = 0.5               # max extra delay, as a fraction
     seed: int = 0                     # jitter determinism
-    deadline: Optional[float] = None  # whole-batch wall-clock seconds
 
     def attempts_allowed(self) -> int:
         return self.retries + 1
@@ -131,9 +123,9 @@ class SupervisionPolicy:
     @property
     def preemptive(self) -> bool:
         """Does this policy need capabilities only a child process pool can
-        provide (killing a task mid-run)?  True when a per-task timeout or
-        a batch deadline is set."""
-        return self.timeout is not None or self.deadline is not None
+        provide (killing a task mid-run)?  True when a per-task timeout is
+        set."""
+        return self.timeout is not None
 
     def delay(self, index: int, attempt: int) -> float:
         """Seconds to wait before re-dispatching ``index`` after failed
@@ -293,10 +285,7 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
     seeded exponential backoff until the retry budget runs out, at which
     point the task's outcome records the failure (kind ``timeout`` /
     ``killed`` / ``exception`` / ``unpicklable``) for the caller's
-    graceful-degradation machinery.  A policy ``deadline`` cancels the whole
-    batch when it expires: busy workers are killed and every unfinished task
-    degrades to a ``kind:"deadline"`` outcome.  Outcomes return in task
-    order.
+    graceful-degradation machinery.  Outcomes return in task order.
     """
     policy = policy or SupervisionPolicy()
     total = len(tasks)
@@ -307,8 +296,6 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
     ready: deque[tuple[int, int]] = deque((i, 1) for i in range(total))
     delayed: list[tuple[float, int, int]] = []  # (ready_at, index, attempt)
     slots: list[_Slot] = []
-    batch_deadline = (time.monotonic() + policy.deadline
-                      if policy.deadline is not None else None)
 
     def finish(outcome: TaskOutcome) -> None:
         results[outcome.index] = outcome
@@ -357,49 +344,20 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
                     index, kind="unpicklable", attempts=attempt,
                     error=f"task not picklable: {type(err).__name__}: {err}"))
 
-    def expire_batch() -> None:
-        """The batch deadline passed: record every unfinished task as a
-        structured ``deadline`` failure.  Teardown of the (possibly still
-        busy) workers is the ``finally`` block's job."""
-        attempts_seen = {index: attempt - 1 for index, attempt in ready}
-        for _, index, attempt in delayed:
-            attempts_seen[index] = attempt - 1
-        running = {slot.index: slot.attempt for slot in slots if slot.busy}
-        attempts_seen.update(running)
-        for index in range(total):
-            if index in results:
-                continue
-            finish(TaskOutcome(
-                index, kind="deadline",
-                attempts=attempts_seen.get(index, 0),
-                error=f"deadline expired: batch budget of "
-                      f"{policy.deadline:.1f}s exhausted "
-                      + ("mid-task" if index in running
-                         else "before the task ran")))
-
     try:
         slots.extend(_Slot(ctx, worker, chaos)
                      for _ in range(max(1, min(jobs, total))))
         while len(results) < total:
-            now = time.monotonic()
-            if batch_deadline is not None and now >= batch_deadline:
-                expire_batch()
-                break
             dispatch()
             busy = [s for s in slots if s.busy]
             now = time.monotonic()
             if not busy:
                 if delayed:
-                    wake_at = delayed[0][0]
-                    if batch_deadline is not None:
-                        wake_at = min(wake_at, batch_deadline)
-                    time.sleep(max(0.0, wake_at - now))
+                    time.sleep(max(0.0, delayed[0][0] - now))
                 continue
             waits = [s.deadline - now for s in busy if s.deadline is not None]
             if delayed:
                 waits.append(delayed[0][0] - now)
-            if batch_deadline is not None:
-                waits.append(batch_deadline - now)
             wait_for = max(0.0, min(waits)) if waits else None
             arrived = _conn_wait([s.conn for s in busy], wait_for)
             now = time.monotonic()
@@ -473,7 +431,7 @@ class Journal:
     is one completed task::
 
         {"key": "grep/minboost3", "sha": <sha256 of data>, "data": <base64
-         pickle of the task's result payload>, "meta": {...optional...}}
+         pickle of the task's result payload>}
 
     Appends are flushed and fsync'd before :meth:`record` returns, so a
     journaled task survives any crash of the campaign process.  A crash
@@ -494,9 +452,6 @@ class Journal:
         self.facets = facets
         #: key -> unpickled payload for every journaled task
         self.completed: dict[str, Any] = {}
-        #: key -> the record's ``meta`` dict (shard provenance etc.), for
-        #: every journaled task that carried one
-        self.meta: dict[str, dict] = {}
         self.recovered_bytes = 0  # torn bytes truncated during load
         if resume and self.path.exists():
             good_offset = self._load()
@@ -513,124 +468,78 @@ class Journal:
             atomic_write_text(self.path, json.dumps(header) + "\n")
             self._fh = open(self.path, "ab")
 
-    @classmethod
-    def _check_header(cls, path: Path, header: dict, fingerprint: str,
-                      facets: Optional[dict]) -> None:
-        if header.get("journal") != "repro-campaign":
-            raise JournalError(f"{path}: not a campaign journal")
-        if header.get("version") != cls.VERSION:
-            raise JournalError(f"{path}: journal version "
-                               f"{header.get('version')} != {cls.VERSION}")
-        if header.get("fingerprint") != fingerprint:
-            diverged = _facet_divergence(header.get("facets"),
-                                         _jsonable_facets(facets)
-                                         if facets is not None else None)
-            raise JournalError(
-                f"{path}: journal belongs to a different campaign "
-                f"({diverged}) — delete it or drop --resume to start over")
-
     def _load(self) -> int:
         """Parse the journal, fill :attr:`completed`, and return the byte
         offset just past the last intact record."""
         raw = self.path.read_bytes()
-        header, completed, meta, good, dropped = self._scan(raw, self.path)
-        self._check_header(self.path, header, self.fingerprint, self.facets)
-        self.completed = completed
-        self.meta = meta
-        self.recovered_bytes = len(raw) - good
-        if dropped:
-            warnings.warn(
-                f"{self.path}: journal tail torn or corrupt — kept "
-                f"{len(completed)} record(s), dropped {dropped} "
-                f"({self.recovered_bytes} bytes truncated); the dropped "
-                f"task(s) will be recomputed")
-        return good
-
-    @classmethod
-    def _scan(cls, raw: bytes, path: Path
-              ) -> tuple[dict, dict[str, Any], dict[str, dict], int, int]:
-        """Parse header + records out of ``raw``.
-
-        Returns ``(header, completed, meta, good_offset, dropped)`` where
-        ``good_offset`` is the byte offset just past the last intact record
-        and ``dropped`` counts discarded (torn/corrupt) record lines.
-        """
         offset = raw.find(b"\n")
         if offset < 0:
-            raise JournalError(f"{path}: no journal header")
+            raise JournalError(f"{self.path}: no journal header")
         try:
             header = json.loads(raw[:offset].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise JournalError(f"{path}: unreadable journal header "
+            raise JournalError(f"{self.path}: unreadable journal header "
                                f"({err})") from None
-        if not isinstance(header, dict):
-            raise JournalError(f"{path}: not a campaign journal")
+        if (not isinstance(header, dict)
+                or header.get("journal") != "repro-campaign"):
+            raise JournalError(f"{self.path}: not a campaign journal")
+        if header.get("version") != self.VERSION:
+            raise JournalError(f"{self.path}: journal version "
+                               f"{header.get('version')} != {self.VERSION}")
+        if header.get("fingerprint") != self.fingerprint:
+            diverged = _facet_divergence(
+                header.get("facets"),
+                _jsonable_facets(self.facets)
+                if self.facets is not None else None)
+            raise JournalError(
+                f"{self.path}: journal belongs to a different campaign "
+                f"({diverged}) — delete it or drop --resume to start over")
         good = offset + 1
         rest = raw[good:]
-        completed: dict[str, Any] = {}
-        meta: dict[str, dict] = {}
         pos = 0
         while True:
             newline = rest.find(b"\n", pos)
             if newline < 0:
                 break  # torn tail: final line lost its newline to a crash
-            payload = cls._parse_record(rest[pos:newline])
+            payload = self._parse_record(rest[pos:newline])
             if payload is None:
                 break  # torn or corrupt record: discard it and the rest
-            completed[payload[0]] = payload[1]
-            if payload[2] is not None:
-                meta[payload[0]] = payload[2]
+            self.completed[payload[0]] = payload[1]
             pos = newline + 1
         remainder = rest[pos:]
         dropped = remainder.count(b"\n")
         if remainder and not remainder.endswith(b"\n"):
             dropped += 1
-        return header, completed, meta, good + pos, dropped
-
-    @classmethod
-    def peek(cls, path: Path | str, fingerprint: Optional[str] = None,
-             facets: Optional[dict] = None
-             ) -> tuple[dict[str, Any], dict[str, dict]]:
-        """Read a journal's records without opening it for writing.
-
-        Unlike resuming, ``peek`` never truncates (the journal may belong
-        to a live writer mid-append — a torn tail is simply ignored) and
-        never warns.  Returns ``(completed, meta)``.  When ``fingerprint``
-        is given the header is verified against it.
-        """
-        raw = Path(path).read_bytes()
-        header, completed, meta, _, _ = cls._scan(raw, Path(path))
-        if fingerprint is not None:
-            cls._check_header(Path(path), header, fingerprint, facets)
-        return completed, meta
+        good += pos
+        self.recovered_bytes = len(raw) - good
+        if dropped:
+            warnings.warn(
+                f"{self.path}: journal tail torn or corrupt — kept "
+                f"{len(self.completed)} record(s), dropped {dropped} "
+                f"({self.recovered_bytes} bytes truncated); the dropped "
+                f"task(s) will be recomputed")
+        return good
 
     @staticmethod
-    def _parse_record(line: bytes
-                      ) -> Optional[tuple[str, Any, Optional[dict]]]:
+    def _parse_record(line: bytes) -> Optional[tuple[str, Any]]:
         try:
             record = json.loads(line.decode("utf-8"))
             data = record["data"]
             if hashlib.sha256(data.encode()).hexdigest() != record["sha"]:
                 return None
-            return (record["key"], pickle.loads(base64.b64decode(data)),
-                    record.get("meta"))
+            return record["key"], pickle.loads(base64.b64decode(data))
         except Exception:
             return None
 
-    def record(self, key: str, payload: Any,
-               meta: Optional[dict] = None) -> None:
+    def record(self, key: str, payload: Any) -> None:
         """Durably append one completed task.  Safe to call from signal-
         interrupted contexts: the line is fully written + fsync'd or the
-        torn tail is discarded on the next load.  ``meta`` (a small
-        JSON-serialisable dict — shard provenance, steal attribution) rides
-        along outside the checksummed payload."""
+        torn tail is discarded on the next load."""
         data = base64.b64encode(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)).decode()
         record = {"key": key,
                   "sha": hashlib.sha256(data.encode()).hexdigest(),
                   "data": data}
-        if meta is not None:
-            record["meta"] = meta
         self._fh.write(json.dumps(record).encode("utf-8") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())

@@ -6,22 +6,18 @@ can use it without import cycles.
 """
 
 from repro.obs.stats import (
-    SHARDS_SCHEMA,
     STATS_SCHEMA,
     NullStats,
     SchedStats,
-    ShardStats,
     SimStats,
     record_schedule_occupancy,
 )
 from repro.obs.trace import TraceRecorder
 
 __all__ = [
-    "SHARDS_SCHEMA",
     "STATS_SCHEMA",
     "NullStats",
     "SchedStats",
-    "ShardStats",
     "SimStats",
     "TraceRecorder",
     "record_schedule_occupancy",

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional
 
 STATS_SCHEMA = "repro-stats/1"
-SHARDS_SCHEMA = "repro-shards/1"
-SERVICE_SCHEMA = "repro-service/1"
 
 
 def _hist(d: Dict) -> Dict[str, int]:
@@ -409,88 +407,6 @@ class SimStats:
             "trace_invalidations": self.trace_invalidations,
             "trace_misses": self.trace_misses,
             "translated_blocks": self.translated_blocks,
-        }
-
-
-@dataclass
-class ShardStats:
-    """Counters from one sharded campaign run.
-
-    Accumulated by :func:`repro.harness.coordinator.run_sharded`;
-    ``snapshot()`` lands in the ``repro-shards/1`` section of
-    ``bench --json`` next to the ``repro-stats/1`` counters.
-    """
-
-    shards: int = 0  # shard count actually used (after clamping)
-    tasks: int = 0  # total task matrix size
-    resumed_tasks: int = 0  # records adopted from prior journals
-    restarts: int = 0  # crashed shard processes respawned
-    chaos_kills: int = 0  # whole-shard SIGKILLs injected by chaos
-    steals: int = 0  # lease takeovers that produced records
-    stolen_tasks: int = 0  # records computed under a stolen lease
-    salvaged_tasks: int = 0  # records recovered by the coordinator
-    failed_tasks: int = 0  # tasks degraded to structured failures
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "chaos_kills": self.chaos_kills,
-            "failed_tasks": self.failed_tasks,
-            "restarts": self.restarts,
-            "resumed_tasks": self.resumed_tasks,
-            "salvaged_tasks": self.salvaged_tasks,
-            "shards": self.shards,
-            "steals": self.steals,
-            "stolen_tasks": self.stolen_tasks,
-            "tasks": self.tasks,
-        }
-
-
-@dataclass
-class ServiceStats:
-    """Counters from one campaign-service daemon lifetime.
-
-    Accumulated by :class:`repro.service.daemon.CampaignService`;
-    ``snapshot()`` is the ``repro-service/1`` section of ``repro status``
-    and of the drain summary.  Everything here is observational — none of
-    it feeds back into scheduling decisions, so a counter bug can never
-    change a report.
-    """
-
-    admitted: int = 0  # jobs accepted into the queue
-    rejected_busy: int = 0  # refused: admission queue full
-    rejected_draining: int = 0  # refused: drain in progress
-    rejected_invalid: int = 0  # refused: malformed request/params
-    completed: int = 0  # jobs terminal with state done
-    failed: int = 0  # jobs terminal with state failed
-    deadline_expired: int = 0  # jobs terminal with state deadline
-    resumed_jobs: int = 0  # non-terminal jobs re-adopted by --resume
-    runner_restarts: int = 0  # runner children respawned after dying
-    chaos_kills: int = 0  # runner SIGKILLs injected by service chaos
-    breaker_opened: int = 0  # circuit-open transitions
-    breaker_half_open_probes: int = 0  # probe jobs let through a cooldown
-    breaker_closed: int = 0  # circuits restored by a clean probe
-
-    @property
-    def rejected(self) -> int:
-        return (self.rejected_busy + self.rejected_draining
-                + self.rejected_invalid)
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "admitted": self.admitted,
-            "breaker_closed": self.breaker_closed,
-            "breaker_half_open_probes": self.breaker_half_open_probes,
-            "breaker_opened": self.breaker_opened,
-            "chaos_kills": self.chaos_kills,
-            "completed": self.completed,
-            "deadline_expired": self.deadline_expired,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "rejected_busy": self.rejected_busy,
-            "rejected_draining": self.rejected_draining,
-            "rejected_invalid": self.rejected_invalid,
-            "resumed_jobs": self.resumed_jobs,
-            "runner_restarts": self.runner_restarts,
         }
 
 

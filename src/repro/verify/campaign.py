@@ -52,16 +52,6 @@ CAMPAIGN_CONFIGS: dict[str, CompileConfig] = {
 DEFAULT_MODELS = ("squashing", "boost1", "minboost3", "boost7")
 
 
-def breaker_skip_error(jkey: str) -> str:
-    """The error line a breaker-skipped cell degrades to.
-
-    Shared with the campaign service (:mod:`repro.service`), which
-    pre-seeds the same text into bench cells — the skip message is part of
-    the deterministic report, so it lives next to the skip machinery."""
-    return (f"{jkey}: skipped — circuit breaker open for this "
-            f"configuration (recent workers timed out or were killed)")
-
-
 def verify_repro_cmd(workload: str, model: str, seed: Optional[int] = None,
                      seeds: Optional[int] = None,
                      seed_start: int = 0) -> str:
@@ -162,18 +152,10 @@ class VerifyCampaign:
         self.checker = checker or DifferentialChecker()
         self.progress = progress or (lambda msg: None)
         self.cache = cache
-        #: :class:`repro.harness.coordinator.ShardReport` from the last
-        #: :meth:`run_sharded` call
-        self.shard_report = None
-        #: jkey -> structured supervision-failure record (kind, attempts,
-        #: error) for buckets that degraded at the harness level during the
-        #: last :meth:`run` — the campaign service reads these for its
-        #: circuit-breaker accounting
-        self.failures: dict[str, dict] = {}
 
     # ------------------------------------------------------------------- run
-    def run(self, jobs: int = 1, policy=None, chaos=None, journal=None,
-            skip=None) -> CampaignSummary:
+    def run(self, jobs: int = 1, policy=None, chaos=None, journal=None
+            ) -> CampaignSummary:
         """Run the campaign; ``jobs>1`` fans (workload, model) buckets to
         worker processes and merges in serial order, so the formatted
         summary is byte-identical to ``jobs=1``.  A campaign carrying a
@@ -187,25 +169,17 @@ class VerifyCampaign:
         SIGKILL'd campaign resumed with the same journal produces a
         byte-identical summary.  ``policy``/``chaos`` select supervised
         execution (timeouts, worker replacement, retries, fault
-        injection).
-
-        ``skip`` is a set of bucket keys (``"workload/model"``) that must
-        not run — the campaign service passes the cells whose circuit
-        breaker is open.  A skipped bucket degrades to an empty result plus
-        an oracle error, and is never journaled (a later run with the
-        circuit closed must be free to compute it)."""
-        skip = frozenset(skip or ())
+        injection)."""
         supervised = (jobs > 1 or chaos is not None
                       or (policy is not None and policy.preemptive))
         if supervised and not self._custom_checker:
-            return self._run_supervised(jobs, policy, chaos, journal, skip)
+            return self._run_supervised(jobs, policy, chaos, journal)
         summary = CampaignSummary()
         try:
             for w in self.workloads:
                 todo = [m for m in self.model_keys
-                        if f"{w.name}/{m}" not in skip
-                        and (journal is None
-                             or f"{w.name}/{m}" not in journal.completed)]
+                        if journal is None
+                        or f"{w.name}/{m}" not in journal.completed]
                 prepared = image = plans = None
                 if todo:
                     self.progress(f"preparing {w.name} ...")
@@ -216,11 +190,6 @@ class VerifyCampaign:
                                    self.seed_start + self.seeds)]
                 for model_key in self.model_keys:
                     jkey = f"{w.name}/{model_key}"
-                    if jkey in skip:
-                        summary.results.append(CampaignResult(
-                            workload=w.name, config=model_key))
-                        summary.oracle_errors.append(breaker_skip_error(jkey))
-                        continue
                     if model_key not in todo:
                         bucket, divergences, oracle_errors = \
                             journal.completed[jkey]
@@ -246,7 +215,7 @@ class VerifyCampaign:
         return prepare_ir(compile_source(w.source), config, w.train)
 
     def _run_supervised(self, jobs: int, policy=None, chaos=None,
-                        journal=None, skip=frozenset()) -> CampaignSummary:
+                        journal=None) -> CampaignSummary:
         from repro.harness.resilience import CampaignInterrupted
 
         cache_dir = (str(self.cache.cache_dir) if self.cache is not None
@@ -254,9 +223,8 @@ class VerifyCampaign:
         buckets = [(w.name, model_key)
                    for w in self.workloads for model_key in self.model_keys]
         todo = [(wname, model_key) for wname, model_key in buckets
-                if f"{wname}/{model_key}" not in skip
-                and (journal is None
-                     or f"{wname}/{model_key}" not in journal.completed)]
+                if journal is None
+                or f"{wname}/{model_key}" not in journal.completed]
         tasks = [(wname, model_key, self.seeds, self.seed_start, cache_dir)
                  for wname, model_key in todo]
 
@@ -278,21 +246,12 @@ class VerifyCampaign:
                 len(buckets)) from None
         summary = CampaignSummary()
         for wname, model_key in buckets:
-            if f"{wname}/{model_key}" in skip:
-                summary.results.append(
-                    CampaignResult(workload=wname, config=model_key))
-                summary.oracle_errors.append(
-                    breaker_skip_error(f"{wname}/{model_key}"))
-                continue
             if (wname, model_key) not in outcomes:
                 bucket, divergences, oracle_errors = \
                     journal.completed[f"{wname}/{model_key}"]
             else:
                 outcome = outcomes[(wname, model_key)]
                 if outcome.error is not None:
-                    self.failures[f"{wname}/{model_key}"] = {
-                        "kind": outcome.kind, "attempts": outcome.attempts,
-                        "error": outcome.error}
                     summary.results.append(
                         CampaignResult(workload=wname, config=model_key))
                     summary.oracle_errors.append(
@@ -306,62 +265,6 @@ class VerifyCampaign:
             summary.results.append(bucket)
             summary.divergences.extend(divergences)
             summary.oracle_errors.extend(oracle_errors)
-        return summary
-
-    def run_sharded(self, shards: int, campaign_dir, fingerprint: str,
-                    facets: Optional[dict] = None, jobs: int = 1,
-                    policy=None, shard_policy=None, shard_chaos=None,
-                    resume: bool = False, lease_ttl: float = 15.0
-                    ) -> CampaignSummary:
-        """Run the campaign across ``shards`` independent lease-guarded
-        worker processes (see :mod:`repro.harness.coordinator`).
-
-        Each shard runs its round-robin slice of the (workload, model)
-        buckets through the supervised pool, checkpointing into its own
-        journal under ``campaign_dir``; the merge back into the summary is
-        in serial bucket order, so the formatted output is byte-identical
-        to ``jobs=1``.  A bucket no shard could recover degrades to an
-        empty :class:`CampaignResult` plus an oracle error — the campaign
-        reports partial results instead of dying with a shard.  The
-        resulting :class:`~repro.harness.coordinator.ShardReport` is
-        stored on ``self.shard_report``.
-        """
-        from repro.harness.coordinator import run_sharded
-
-        if self._custom_checker:
-            raise ValueError("sharded campaigns cannot carry a custom "
-                             "checker (closures don't cross process "
-                             "boundaries)")
-        cache_dir = (str(self.cache.cache_dir) if self.cache is not None
-                     else None)
-        buckets = [(w.name, model_key)
-                   for w in self.workloads for model_key in self.model_keys]
-        keys = [f"{wname}/{model_key}" for wname, model_key in buckets]
-        tasks = [(wname, model_key, self.seeds, self.seed_start, cache_dir)
-                 for wname, model_key in buckets]
-        report = run_sharded(
-            _bucket_worker, tasks, keys, campaign_dir, fingerprint,
-            facets=facets, shards=shards, jobs=jobs, policy=policy,
-            shard_policy=shard_policy, shard_chaos=shard_chaos,
-            lease_ttl=lease_ttl, resume=resume, progress=self.progress)
-        summary = CampaignSummary()
-        for (wname, model_key), jkey in zip(buckets, keys):
-            if jkey in report.completed:
-                bucket, divergences, oracle_errors = report.completed[jkey]
-                summary.results.append(bucket)
-                summary.divergences.extend(divergences)
-                summary.oracle_errors.extend(oracle_errors)
-            else:
-                info = report.failures.get(jkey) or {
-                    "error": "bucket missing from every shard journal"}
-                summary.results.append(
-                    CampaignResult(workload=wname, config=model_key))
-                summary.oracle_errors.append(
-                    f"{wname}/{model_key}: shard failed: {info['error']} "
-                    f"(repro: "
-                    + verify_repro_cmd(wname, model_key, seeds=self.seeds,
-                                       seed_start=self.seed_start) + ")")
-        self.shard_report = report
         return summary
 
     def _run_bucket(self, wname: str, model_key: str, prepared: Program,

@@ -14,8 +14,8 @@ Three pieces, one loop:
   cross-product oracle — {reference, interp, translate} backends ×
   {functional, superscalar-per-boost-model, dynamic} machines × seeded
   fault plans — riding the same supervised pool, journal/``--resume``,
-  ``--jobs``, ``--shards`` and ``--chaos`` machinery the bench/verify
-  campaigns use, with byte-identical merged reports at any parallelism.
+  ``--jobs`` and ``--chaos`` machinery the bench/verify campaigns use,
+  with byte-identical merged reports at any parallelism.
 * :mod:`repro.verify.fuzz.reduce` — an automatic Minic source reducer
   (delta debugging over statements, blocks, and operands, re-checking the
   divergence signature each step) feeding a persistent triage corpus

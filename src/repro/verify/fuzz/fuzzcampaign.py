@@ -28,10 +28,9 @@ fault hook has no superblock port), so the translating backend is genuinely
 exercised by the benign and flip-only cells.
 
 The campaign rides the same machinery as ``bench``/``verify``: the
-supervised worker pool (``--jobs``, timeouts, retries, ``--chaos``), the
-append-only journal (``--journal``/``--resume``), and the lease-guarded
-shard coordinator (``--shards``).  Results merge in serial seed order, so
-the formatted report is byte-identical at any parallelism.
+supervised worker pool (``--jobs``, timeouts, retries, ``--chaos``) and the
+append-only journal (``--journal``/``--resume``).  Results merge in serial
+seed order, so the formatted report is byte-identical at any parallelism.
 
 Divergences are grouped by **signature** — ``machine/model/backend/
 observables/oracle-disposition`` — and the first divergence of each
@@ -451,8 +450,8 @@ def _run_program(seed: int, config: GenConfig, model_keys: tuple,
 def _program_worker(task: tuple) -> tuple[FuzzProgramResult,
                                           list[FuzzDivergence], list[str]]:
     """One generated program in a worker process — everything in the task
-    tuple is plain data, so the same worker serves the supervised pool and
-    the shard coordinator."""
+    tuple is plain data, so it crosses the supervised pool's process
+    boundary."""
     seed, config, model_keys, backends, nplans, sabotage, dyn_variants = task
     return _run_program(seed, config, tuple(model_keys), tuple(backends),
                         nplans, sabotage, tuple(dyn_variants))
@@ -504,12 +503,6 @@ class FuzzCampaign:
                              f"available: {sorted(SABOTAGES)}")
         self.sabotage = sabotage
         self.progress = progress or (lambda msg: None)
-        self.shard_report = None
-        #: jkey -> structured supervision-failure record (kind, attempts,
-        #: error) for programs that degraded at the harness level during the
-        #: last :meth:`run` — the campaign service reads these for its
-        #: circuit-breaker accounting
-        self.failures: dict[str, dict] = {}
 
     # ----------------------------------------------------------------- facets
     def facets(self) -> dict:
@@ -606,9 +599,6 @@ class FuzzCampaign:
             else:
                 outcome = outcomes[seed]
                 if outcome.error is not None:
-                    self.failures[self._key(seed)] = {
-                        "kind": outcome.kind, "attempts": outcome.attempts,
-                        "error": outcome.error}
                     summary.results.append(FuzzProgramResult(
                         name=f"fuzz-{seed:06d}", seed=seed))
                     summary.oracle_errors.append(
@@ -619,42 +609,6 @@ class FuzzCampaign:
                     continue
                 payload = outcome.value
             self._merge(summary, payload)
-        return summary
-
-    def run_sharded(self, shards: int, campaign_dir, fingerprint: str,
-                    facets: Optional[dict] = None, jobs: int = 1,
-                    policy=None, shard_policy=None, shard_chaos=None,
-                    resume: bool = False, lease_ttl: float = 15.0
-                    ) -> FuzzSummary:
-        """Run across ``shards`` lease-guarded worker processes; see
-        :meth:`repro.verify.campaign.VerifyCampaign.run_sharded` — the
-        merge is in serial seed order, a program no shard could recover
-        degrades to an empty result plus an oracle error."""
-        from repro.harness.coordinator import run_sharded
-
-        seeds = self._seeds()
-        keys = [self._key(seed) for seed in seeds]
-        tasks = [self._task(seed) for seed in seeds]
-        report = run_sharded(
-            _program_worker, tasks, keys, campaign_dir, fingerprint,
-            facets=facets, shards=shards, jobs=jobs, policy=policy,
-            shard_policy=shard_policy, shard_chaos=shard_chaos,
-            lease_ttl=lease_ttl, resume=resume, progress=self.progress)
-        summary = FuzzSummary()
-        for seed, jkey in zip(seeds, keys):
-            if jkey in report.completed:
-                self._merge(summary, report.completed[jkey])
-            else:
-                info = report.failures.get(jkey) or {
-                    "error": "program missing from every shard journal"}
-                summary.results.append(FuzzProgramResult(
-                    name=f"fuzz-{seed:06d}", seed=seed))
-                summary.oracle_errors.append(
-                    f"fuzz-{seed:06d}: shard failed: {info['error']} "
-                    f"(repro: "
-                    + fuzz_repro_cmd(seed, self.config, self.plans,
-                                     sabotage=self.sabotage) + ")")
-        self.shard_report = report
         return summary
 
     # -------------------------------------------------------- reduce + triage

@@ -181,11 +181,11 @@ def test_unwritable_cache_dir_degrades_to_uncached(tmp_path):
 
 
 # ------------------------------------------------------- concurrent access
-# The sharded campaign coordinator shares one content-addressed cache
-# across every shard process, so simultaneous store/load of the same key
-# is the norm, not a race to apologize for.  Atomic tempfile-fsync-rename
-# stores must make a torn read impossible, and the churn must never charge
-# quarantine strikes against a healthy key.
+# The ``--jobs N`` worker processes share one content-addressed cache, so
+# simultaneous store/load of the same key is the norm, not a race to
+# apologize for.  Atomic tempfile-fsync-rename stores must make a torn read
+# impossible, and the churn must never charge quarantine strikes against a
+# healthy key.
 
 def _cache_churn(cache_dir, key, payload, rounds, fail_flag):
     import os as _os

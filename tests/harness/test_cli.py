@@ -202,44 +202,13 @@ def test_bench_journal_mismatch_names_the_diverged_field(tmp_path, capsys):
     assert "seeds" not in err and "configs" not in err
 
 
-def test_verify_sharded_is_byte_identical_to_serial(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    base = ["verify", "--workloads", "grep", "--models", "boost1",
-            "squashing", "--seeds", "1", "--no-selftest",
-            "--cache-dir", cache]
-    assert main(base) == 0
-    serial, _ = capsys.readouterr()
-    journal = str(tmp_path / "verify.journal")
-    assert main(base + ["--shards", "2", "--journal", journal]) == 0
-    sharded, err = capsys.readouterr()
-    assert sharded == serial
-    assert "shards=2" in err
-    # The campaign dir holds one lease-guarded journal per shard.
-    assert (tmp_path / "verify.journal.shards").is_dir()
-
-
-def test_verify_sharded_resume_refuses_a_foreign_campaign(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    journal = str(tmp_path / "verify.journal")
-    base = ["verify", "--workloads", "grep", "--models", "boost1",
-            "--no-selftest", "--cache-dir", cache, "--journal", journal,
-            "--shards", "2"]
-    assert main(base + ["--seeds", "1"]) == 0
-    capsys.readouterr()
-    rc = main(base + ["--seeds", "2", "--resume"])
-    _, err = capsys.readouterr()
-    assert rc == 2
-    assert "different campaign" in err
-    assert "seeds: 1 -> 2" in err
-
-
 # ------------------------------------------------- argparse-time validation
 @pytest.mark.parametrize("argv, fragment", [
     (["bench", "--jobs", "0"], "must be at least 1"),
     (["bench", "--jobs", "-3"], "must be at least 1"),
     (["bench", "--jobs", "two"], "expected a positive integer"),
-    (["verify", "--shards", "0"], "must be at least 1"),
-    (["verify", "--shards", "1.5"], "expected a positive integer"),
+    (["bench", "--backoff", "-5"], "must be greater than 0"),
+    (["fuzz", "--backoff", "nan"], "must be greater than 0"),
     (["bench", "--retries", "-2"], "must be at least 0"),
     (["bench", "--retries", "many"], "expected a non-negative integer"),
     (["bench", "--timeout", "0"], "must be greater than 0"),

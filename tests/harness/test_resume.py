@@ -8,6 +8,7 @@ from repro.harness.experiments import BENCH_CONFIG_KEYS, Lab
 from repro.harness.report import bench_json, render_all
 from repro.harness.resilience import Journal
 from repro.verify.campaign import VerifyCampaign
+from repro.verify.fuzz.fuzzcampaign import FuzzCampaign
 from repro.workloads.registry import Workload
 
 SOURCE = """
@@ -127,3 +128,59 @@ def test_verify_resume_at_every_boundary(clean_verify, k, tmp_path):
     if k == len(VERIFY_MODELS):
         # Fully journaled: the workload is not even re-prepared.
         assert not any("preparing" in m for m in messages)
+
+
+# --------------------------------------------------------------------- fuzz
+FUZZ_PROGRAMS = 3
+
+
+def _fuzz():
+    return FuzzCampaign(count=FUZZ_PROGRAMS, seed_start=0, plans=2,
+                        model_keys=["boost7"],
+                        backends=["reference", "translate"])
+
+
+@pytest.fixture(scope="module")
+def clean_fuzz(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    campaign = _fuzz()
+    fingerprint = Journal.make_fingerprint(**campaign.facets())
+    journal = Journal(tmp / "clean.journal", fingerprint)
+    summary = campaign.run(journal=journal)
+    journal.close()
+    return {
+        "fingerprint": fingerprint,
+        "text": summary.format(),
+        "lines": (tmp / "clean.journal").read_bytes().splitlines(
+            keepends=True),
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("k", range(FUZZ_PROGRAMS + 1))
+def test_fuzz_resume_at_every_boundary(clean_fuzz, k, jobs, tmp_path):
+    """A fuzz campaign killed after ``k`` journaled programs resumes, in
+    process or through the supervised pool, to the uninterrupted report."""
+    lines = clean_fuzz["lines"]
+    assert len(lines) == FUZZ_PROGRAMS + 1  # header + one per program
+    path = tmp_path / "resume.journal"
+    path.write_bytes(b"".join(lines[:k + 1]))
+    journal = Journal(path, clean_fuzz["fingerprint"], resume=True)
+    assert len(journal.completed) == k
+    summary = _fuzz().run(jobs=jobs, journal=journal)
+    journal.close()
+    assert summary.format() == clean_fuzz["text"]
+    # The programs that were missing are journaled now.
+    assert len(path.read_bytes().splitlines()) == FUZZ_PROGRAMS + 1
+
+
+def test_fuzz_resume_discards_a_torn_record(clean_fuzz, tmp_path):
+    lines = clean_fuzz["lines"]
+    path = tmp_path / "torn.journal"
+    path.write_bytes(b"".join(lines[:2]) + lines[2][:-10])
+    journal = Journal(path, clean_fuzz["fingerprint"], resume=True)
+    assert len(journal.completed) == 1
+    assert journal.recovered_bytes > 0
+    summary = _fuzz().run(jobs=2, journal=journal)
+    journal.close()
+    assert summary.format() == clean_fuzz["text"]
