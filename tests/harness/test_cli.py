@@ -207,14 +207,16 @@ def test_bench_journal_mismatch_names_the_diverged_field(tmp_path, capsys):
     (["bench", "--jobs", "0"], "must be at least 1"),
     (["bench", "--jobs", "-3"], "must be at least 1"),
     (["bench", "--jobs", "two"], "expected a positive integer"),
-    (["bench", "--backoff", "-5"], "must be greater than 0"),
-    (["fuzz", "--backoff", "nan"], "must be greater than 0"),
+    (["verify", "--jobs", "0"], "must be at least 1"),
+    (["verify", "--jobs", "1.5"], "expected a positive integer"),
     (["bench", "--retries", "-2"], "must be at least 0"),
     (["bench", "--retries", "many"], "expected a non-negative integer"),
     (["bench", "--timeout", "0"], "must be greater than 0"),
     (["bench", "--timeout", "-1"], "must be greater than 0"),
     (["bench", "--timeout", "nan"], "must be greater than 0"),
     (["bench", "--timeout", "soon"], "expected a positive number"),
+    (["bench", "--backoff", "-5"], "must be greater than 0"),
+    (["fuzz", "--backoff", "nan"], "must be greater than 0"),
 ])
 def test_bad_parallel_options_fail_at_parse_time(argv, fragment, capsys):
     # Bad values must die in argparse with exit code 2 and a one-line
