@@ -57,8 +57,9 @@ __all__ = ["CODE_VERSION", "CompileCache", "default_cache_dir"]
 
 #: Version tag of the whole compile pipeline.  Bump on any change to the
 #: front end, optimizer, register allocator, profiler, or schedulers that
-#: can alter their output for unchanged source + config.
-CODE_VERSION = 5
+#: can alter their output for unchanged source + config, and on any change
+#: to the cached translation units' layout.
+CODE_VERSION = 6
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

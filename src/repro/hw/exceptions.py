@@ -78,10 +78,8 @@ class ExceptionShiftBuffer:
     def shift(self, committing_branch_uid: int) -> Optional[PendingBoostException]:
         """Correct prediction: shift down one level; return any fault that
         commits (its bit shifted out at level 1)."""
-        out = self._slots[1]
-        for level in range(1, self.levels):
-            self._slots[level] = self._slots[level + 1]
-        self._slots[self.levels] = None
+        out = self._slots.pop(1)
+        self._slots.append(None)
         if out is not None:
             out.branch_uid = committing_branch_uid
         return out

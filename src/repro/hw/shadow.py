@@ -96,8 +96,8 @@ class MultiLevelShadowFile(ShadowFileBase):
         self._state[level][reg] = value
 
     def commit(self) -> dict[int, int]:
-        committed = self._state[1]
-        self._state[1:] = self._state[2:] + [{}]
+        committed = self._state.pop(1)
+        self._state.append({})
         return committed
 
     def squash(self) -> None:
@@ -137,6 +137,8 @@ class SingleShadowFile(ShadowFileBase):
         self._count[reg] = level
 
     def commit(self) -> dict[int, int]:
+        if not self._value:
+            return {}
         committed: dict[int, int] = {}
         for reg in list(self._value):
             self._count[reg] -= 1

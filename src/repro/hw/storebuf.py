@@ -54,12 +54,11 @@ class ShadowStoreBuffer:
     def commit(self, mem: Memory) -> int:
         """Write level-1 bytes to memory, shift deeper levels down.  Returns
         the number of bytes retired."""
-        retiring = self._bytes[1]
+        retiring = self._bytes.pop(1)
+        self._bytes.append({})
         for addr, byte in retiring.items():
             mem.store_byte(addr, byte)
-        n = len(retiring)
-        self._bytes[1:] = self._bytes[2:] + [{}]
-        return n
+        return len(retiring)
 
     def squash(self) -> None:
         for level in range(1, self.levels + 1):

@@ -219,8 +219,7 @@ class SuperscalarSim:
         if (self.backend == "translate" and self.fault_hook is None
                 and self.trap_handler is None and self._trace is None):
             from repro.hw import translate
-            unit = translate.superscalar_unit(self.sched)
-            if unit is not None and unit.translated_blocks:
+            if translate.superscalar_unit(self.sched) is not None:
                 result = translate.run_superscalar_translated(self, entry)
         if result is None:
             result = (self._run_fast(entry) if self.fast
@@ -256,7 +255,7 @@ class SuperscalarSim:
                 self._issue_row(row)
             if tr is not None:
                 tr.complete(f"{proc.name}:{block.label}", t0, self.now - t0)
-            nxt = self._block_end(proc, block_idx, block)
+            nxt = self._block_end(proc, block_idx)
             if nxt is None:
                 self.result.cycle_count = self.now
                 return self.result
@@ -427,7 +426,7 @@ class SuperscalarSim:
                     f"{proc.name}:{proc.blocks[block_idx].label}",
                     t0, now - t0)
             self.now = now
-            nxt = self._block_end(proc, block_idx, blocks[block_idx])
+            nxt = self._block_end(proc, block_idx)
             now = self.now  # recovery may have advanced the clock
             if nxt is None:
                 result.cycle_count = now
@@ -557,22 +556,60 @@ class SuperscalarSim:
             raise ScheduleError(f"unhandled terminator {instr}")
 
     # -------------------------------------------------------------- block end
-    def _block_end(self, proc: ScheduledProcedure, block_idx: int,
-                   block) -> Optional[tuple[ScheduledProcedure, int]]:
+    def _block_end(self, proc: ScheduledProcedure,
+                   block_idx: int) -> Optional[tuple[ScheduledProcedure, int]]:
         ctl = self._ctl
-        index = self._block_index[proc.name]
         if ctl is None:
             if block_idx + 1 >= len(proc.blocks):
                 return None
             return (proc, block_idx + 1)
         kind = ctl[0]
-        if kind == "halt":
-            return None
+        if kind == "cond":
+            # Conditional branch: commit or squash the speculative state.
+            _, instr, taken = ctl
+            self.result.branch_count += 1
+            st = self._stats_hot
+            storebuf = self.storebuf
+            if taken == bool(instr.predict_taken):
+                pending = self.shiftbuf.shift(instr.uid)
+                if pending is not None:
+                    resume = self._run_recovery(proc, instr.uid)
+                    return (proc, self._block_index[proc.name][resume])
+                if st is not None:
+                    st.note_branch_commit(
+                        self.shadow.outstanding(),
+                        storebuf.outstanding() if storebuf is not None
+                        else 0)
+                regs = self.regs
+                for reg, value in self.shadow.commit().items():
+                    regs[reg] = value
+                if storebuf is not None:
+                    storebuf.commit(self.mem)
+            else:
+                self.result.mispredict_count += 1
+                squashed = self.shadow.outstanding()
+                if st is not None:
+                    st.note_squash(
+                        squashed,
+                        storebuf.outstanding() if storebuf is not None
+                        else 0)
+                if self._trace is not None and squashed:
+                    self._trace.instant("squash", self.now,
+                                        args={"shadow": squashed})
+                self.boosted_squashed += squashed
+                self.shadow.squash()
+                if storebuf is not None:
+                    storebuf.squash()
+                self.shiftbuf.clear()
+            if taken:
+                return (proc, self._block_index[proc.name][instr.target])
+            if block_idx + 1 >= len(proc.blocks):
+                return None
+            return (proc, block_idx + 1)
         if kind == "jump":
-            return (proc, index[ctl[1]])
+            return (proc, self._block_index[proc.name][ctl[1]])
         if kind == "call":
-            callee = self.sched.proc(ctl[1])
-            return (callee, 0)
+            return (self.sched.proc(ctl[1]), 0)
         if kind == "return":
             addr = ctl[1]
             if addr == EXIT_TOKEN:
@@ -581,46 +618,7 @@ class SuperscalarSim:
             if frame is None:
                 raise Trap(TrapKind.ADDRESS_ERROR, addr=addr)
             return frame
-        # Conditional branch: commit or squash the speculative state.
-        _, instr, taken = ctl
-        self.result.branch_count += 1
-        predicted = bool(instr.predict_taken)
-        st = self._stats_hot
-        if taken == predicted:
-            pending = self.shiftbuf.shift(instr.uid)
-            if pending is not None:
-                resume = self._run_recovery(proc, instr.uid)
-                return (proc, index[resume])
-            if st is not None:
-                st.note_branch_commit(
-                    self.shadow.outstanding(),
-                    self.storebuf.outstanding()
-                    if self.storebuf is not None else 0)
-            for reg, value in self.shadow.commit().items():
-                self.regs[reg] = value
-            if self.storebuf is not None:
-                self.storebuf.commit(self.mem)
-        else:
-            self.result.mispredict_count += 1
-            squashed = self.shadow.outstanding()
-            if st is not None:
-                st.note_squash(
-                    squashed,
-                    self.storebuf.outstanding()
-                    if self.storebuf is not None else 0)
-            if self._trace is not None and squashed:
-                self._trace.instant("squash", self.now,
-                                    args={"shadow": squashed})
-            self.boosted_squashed += squashed
-            self.shadow.squash()
-            if self.storebuf is not None:
-                self.storebuf.squash()
-            self.shiftbuf.clear()
-        if taken:
-            return (proc, index[instr.target])
-        if block_idx + 1 >= len(proc.blocks):
-            return None
-        return (proc, block_idx + 1)
+        return None  # halt
 
     def _run_recovery(self, proc: ScheduledProcedure, branch_uid: int) -> str:
         """Execute the boosted-exception recovery code; returns the label to

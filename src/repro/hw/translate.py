@@ -137,9 +137,9 @@ class TranslationUnit:
     functional engine, ``sched`` for the superscalar engine) to generated
     module source; ``tables`` maps generated function name to its literal
     side tables (trap-site corrections, table-call opcode names); ``fns``
-    maps procedure name to the tuple of per-block function names (``None``
-    for an untranslated block).  Everything else is counters and memo
-    metadata.  Runtime binding happens in ``_bind_*`` below.
+    maps procedure name to the tuple of per-block function names.
+    Everything else is counters and memo metadata.  Runtime binding happens
+    in ``_bind_*`` below.
     """
 
     def __init__(self, kind: str) -> None:
@@ -891,63 +891,75 @@ def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
 # Superscalar engine
 # =========================================================================
 #
-# The scheduled machine is translated at basic-block granularity: a block
-# whose every issue slot is sequential (boost level 0) compiles to one
-# generated function that unrolls the scoreboard interlock, the
-# read-before-write issue phases and the opcode semantics of its cycle
-# rows, then publishes the terminator outcome through ``sim._ctl`` exactly
-# like ``_resolve_terminator`` does.  Block-end boosting machinery —
-# shadow commit/squash, the exception shift buffer, recovery vectoring —
-# stays in ``SuperscalarSim._block_end``, which the driver reuses
-# verbatim, so boosted state flowing *across* a translated block behaves
-# identically.  Blocks containing boosted slots fall back to the decoded
-# row interpreter (``_run_sched_rows`` below, the same inner loop as
-# ``_run_fast``).
+# The scheduled machine is translated at basic-block granularity: every
+# block compiles to one generated function that unrolls the scoreboard
+# interlock, the read-before-write issue phases and the opcode semantics of
+# its cycle rows, then publishes the terminator outcome through
+# ``sim._ctl`` exactly like ``_resolve_terminator`` does.  A slot boosted
+# to level L reads its operands through the shadow register file at L,
+# writes its result there, loads through the shadow store buffer and
+# buffers its stores; a fault on it is recorded in the exception shift
+# buffer at L instead of raised.  Block-end boosting machinery — shadow
+# commit/squash, shift-buffer shifts, recovery vectoring — stays in
+# ``SuperscalarSim._block_end``, which the driver shares with the
+# interpreters.  Translation is all or nothing: a schedule with a slot the
+# emitter cannot express (a boosted PRINT or terminator, a boosted store
+# without a store buffer, an opcode with no ALU function) gets no unit and
+# runs on the interpreter.
 
-def _sched_eligible(block) -> bool:
-    """A scheduled block translates when every slot is sequential and
-    decodable; boosted slots need the shadow machinery per instruction."""
-    for row in block.cycles:
-        for instr in row:
-            if instr is None:
-                continue
-            if instr.boost != 0:
-                return False
-            op = instr.op
-            if op is Opcode.NOP or op is Opcode.PRINT or op.is_load \
-                    or op.is_store or instr.is_terminator:
-                continue
-            if ALU_FUNCS.get(op) is None:
-                return False
-    return True
+def _emit_superscalar_fn(proc, k, mem_size, has_storebuf, fname,
+                         tables_out) -> str:
+    """Emit the generated function for one scheduled block.
 
-
-def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
-    """Emit the generated function for one all-sequential scheduled block."""
+    Without a shadow store buffer (``has_storebuf`` false) a boosted load
+    reads memory directly and a boosted store cannot be expressed.  Raises
+    ``ValueError`` for a slot the emitter cannot express.
+    """
     block = proc.blocks[k]
     limw = mem_size - 4
     limb = mem_size - 1
-    sites: list[tuple[int, int, int]] = []  # (TA, TN, TU)
+    sites: list[tuple[int, int, int, int]] = []  # (TA, TN, TB, TU)
     ip_lines: list[int] = []
     fb_ops: list[str] = []
+    uses: set[str] = set()  # boosting-hardware bindings the body calls
     body: list[str] = []
     ind = "        "
     nn = 0   # non-NOP slots retired so far (slot order == retire order)
     nnop = 0
-    total = sum(1 for row in block.cycles for i in row
-                if i is not None and i.op is not Opcode.NOP)
-    nops = sum(1 for row in block.cycles for i in row
-               if i is not None and i.op is Opcode.NOP)
+    nb = 0   # boosted slots retired so far
+    slots = [i for row in block.cycles for i in row if i is not None]
+    nops = sum(1 for i in slots if i.op is Opcode.NOP)
+    total = len(slots) - nops
+    boosted = sum(1 for i in slots if i.boost and i.op is not Opcode.NOP)
     ctl_kind = None
 
-    def texpr(reg) -> str:
+    def operand(reg, level) -> str:
         i = _rx(reg)
-        return f"_t{i}" if i >= 0 else "0"
+        if i < 0:
+            return "0"
+        return f"_b{level}_{i}" if level else f"_t{i}"
 
     def site(instr) -> None:
-        sites.append((nn, nnop, instr.origin or instr.uid))
+        # TB: boosted slots before this one, charged only on a trap
+        sites.append((nn, nnop, nb, instr.origin or instr.uid))
         ip_lines.append(len(body))
         body.append(ind + f"_ip = {len(sites) - 1}")
+
+    def defer(lines_ind, instr) -> str:
+        # a boosted fault goes to the shift buffer at its level and the
+        # slot writes nothing, as in ``SuperscalarSim._trap``
+        uses.add("XR")
+        return (lines_ind + "except TRAP as _e: _e.instr_uid = "
+                f"{instr.origin or instr.uid}; XR({instr.boost}, _e, 0)")
+
+    def write(instr, d, value) -> str:
+        # a boosted result goes to the shadow register file at its level
+        if instr.boost:
+            uses.add("SHW")
+            put = f"SHW({d}, {instr.boost}, {value})"
+        else:
+            put = f"regs[{d}] = {value}"
+        return f"{put}; RD[{d}] = now + {instr.op.latency}"
 
     for row in block.cycles:
         entries = [i for i in row if i is not None]
@@ -957,10 +969,20 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
         for i in watch:
             body.append(ind + f"_r = RG({i}, 0)")
             body.append(ind + "if _r > now: now = _r")
-        # phase 1: all operands read before any result is written
-        if watch:
-            body.append(ind + "; ".join(
-                f"_t{i} = regs[{i}]" for i in watch))
+        # phase 1: all operands read before any result is written; a slot
+        # boosted to level L sees the shadow value visible at L, else the
+        # sequential register
+        reads = sorted({(i.boost, _rx(s)) for i in entries for s in i.srcs
+                        if _rx(s) >= 0})
+        seq = [r for lvl, r in reads if not lvl]
+        if seq:
+            body.append(ind + "; ".join(f"_t{r} = regs[{r}]" for r in seq))
+        for lvl, r in reads:
+            if lvl:
+                uses.add("SHR")
+                body.append(ind + f"_b{lvl}_{r} = SHR({r}, {lvl})")
+                body.append(ind + f"if _b{lvl}_{r} is None: "
+                            f"_b{lvl}_{r} = regs[{r}]")
         # phase 2: execute in slot order
         for instr in entries:
             op = instr.op
@@ -968,10 +990,16 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
                 nnop += 1
                 continue
             nn += 1
+            lvl = instr.boost
+            if lvl:
+                if instr.is_terminator or op is Opcode.PRINT:
+                    raise ValueError(f"cannot translate boosted {instr}")
+                nb += 1
             if instr.is_terminator:
                 if op.is_cond_branch:
-                    a = texpr(instr.srcs[0]) if instr.srcs else "0"
-                    b = texpr(instr.srcs[1]) if len(instr.srcs) > 1 else "0"
+                    a = operand(instr.srcs[0], 0) if instr.srcs else "0"
+                    b = operand(instr.srcs[1], 0) \
+                        if len(instr.srcs) > 1 else "0"
                     body.append(
                         ind + f"SIM._ctl = CT if "
                         f"{branch_expr(op, a, b)} else CF")
@@ -988,9 +1016,8 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
                     body.append(ind + "SIM._ctl = CA")
                     ctl_kind = "call"
                 elif op is Opcode.JR:
-                    body.append(
-                        ind + f'SIM._ctl = ("return", '
-                        f"{texpr(instr.srcs[0]) if instr.srcs else '0'})")
+                    a = operand(instr.srcs[0], 0) if instr.srcs else "0"
+                    body.append(ind + f'SIM._ctl = ("return", {a})')
                     ctl_kind = "return"
                 elif op is Opcode.HALT:
                     body.append(ind + "SIM._ctl = CH")
@@ -999,7 +1026,7 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
                     raise ValueError(f"cannot translate terminator {instr}")
                 continue
             if op is Opcode.PRINT:
-                a = texpr(instr.srcs[0]) if instr.srcs else "0"
+                a = operand(instr.srcs[0], 0) if instr.srcs else "0"
                 if a == "0":
                     body.append(ind + "out.append(0)")
                 else:
@@ -1007,73 +1034,87 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
                         ind + f"out.append({a} - 4294967296 "
                         f"if {a} >= 2147483648 else {a})")
                 continue
-            if op.is_load:
-                d = _rx(instr.dst)
-                base = texpr(instr.srcs[0])
-                off = instr.imm or 0
-                site(instr)
-                if off:
-                    body.append(ind + f"_a = ({base} + {off}) & {_M32}")
-                else:
-                    body.append(ind + f"_a = {base}")
-                if op is Opcode.LW:
-                    body.append(ind + f"if _a < {_MEM_BASE} or _a > {limw} "
-                                "or _a & 3:")
-                    body.append(ind + "    MC(_a, 4)")
-                    if d >= 0:
-                        body.append(ind + f"regs[{d}] = W[_a >> 2]; "
-                                    f"RD[{d}] = now + 2")
-                else:
-                    body.append(ind + f"if _a < {_MEM_BASE} or _a > {limb}:")
-                    body.append(ind + "    MC(_a, 1)")
+            d = _rx(instr.dst)
+            if op.is_load or op.is_store:
+                word = op is Opcode.LW or op is Opcode.SW
+                if op.is_load:
+                    base = operand(instr.srcs[0], lvl)
+                    raw = "W[_a >> 2]" if word else "M[_a]"
+                    if lvl and has_storebuf:
+                        uses.update(("SBL", "MEM"))
+                        raw = (f"int.from_bytes(SBL(MEM, _a, 4, {lvl}), "
+                               "'little')" if word
+                               else f"SBL(MEM, _a, 1, {lvl})[0]")
+                    effect = []
                     if d >= 0:
                         if op is Opcode.LB:
-                            body.append(ind + "_v = M[_a]")
-                            body.append(
-                                ind + f"regs[{d}] = _v + 4294967040 "
-                                f"if _v >= 128 else _v; RD[{d}] = now + 2")
-                        else:
-                            body.append(ind + f"regs[{d}] = M[_a]; "
-                                        f"RD[{d}] = now + 2")
-                continue
-            if op.is_store:
-                v = texpr(instr.srcs[0])
-                base = texpr(instr.srcs[1])
+                            effect.append(f"_v = {raw}")
+                            raw = "_v + 4294967040 if _v >= 128 else _v"
+                        effect.append(write(instr, d, raw))
+                else:
+                    v = operand(instr.srcs[0], lvl)
+                    base = operand(instr.srcs[1], lvl)
+                    if lvl:
+                        if not has_storebuf:
+                            raise ValueError(
+                                f"boosted store without a store buffer: "
+                                f"{instr}")
+                        uses.add("SBS")
+                        data = (f"({v} & {_M32}).to_bytes(4, 'little')"
+                                if word else f"bytes(({v} & 255,))")
+                        effect = [f"SBS({lvl}, _a, {data})"]
+                    elif word:
+                        effect = [f"W[_a >> 2] = {v}"]
+                    else:
+                        effect = [f"M[_a] = {v} & 255" if v != "0"
+                                  else "M[_a] = 0"]
                 off = instr.imm or 0
-                site(instr)
+                if not lvl:
+                    site(instr)
                 if off:
                     body.append(ind + f"_a = ({base} + {off}) & {_M32}")
                 else:
                     body.append(ind + f"_a = {base}")
-                if op is Opcode.SW:
+                if word:
                     body.append(ind + f"if _a < {_MEM_BASE} or _a > {limw} "
                                 "or _a & 3:")
-                    body.append(ind + "    MC(_a, 4)")
-                    body.append(ind + f"W[_a >> 2] = {v}")
                 else:
                     body.append(ind + f"if _a < {_MEM_BASE} or _a > {limb}:")
-                    body.append(ind + "    MC(_a, 1)")
-                    byte = f"{v} & 255" if v != "0" else "0"
-                    body.append(ind + f"M[_a] = {byte}")
+                size = 4 if word else 1
+                if lvl:
+                    body.append(ind + f"    try: MC(_a, {size})")
+                    body.append(defer(ind + "    ", instr))
+                    if effect:
+                        body.append(ind + "else:")
+                        body.extend(ind + "    " + ln for ln in effect)
+                else:
+                    body.append(ind + f"    MC(_a, {size})")
+                    body.extend(ind + ln for ln in effect)
                 continue
-            d = _rx(instr.dst)
-            a = texpr(instr.srcs[0]) if instr.srcs else "0"
-            b = texpr(instr.srcs[1]) if len(instr.srcs) > 1 else "0"
+            if ALU_FUNCS.get(op) is None:
+                raise ValueError(f"cannot translate {instr}")
+            a = operand(instr.srcs[0], lvl) if instr.srcs else "0"
+            b = operand(instr.srcs[1], lvl) if len(instr.srcs) > 1 else "0"
             imm = instr.imm or 0
             expr = alu_expr(op, a, b, imm)
             if expr is not None:
                 if d >= 0:
-                    body.append(ind + f"regs[{d}] = {expr}; "
-                                f"RD[{d}] = now + {op.latency}")
+                    body.append(ind + write(instr, d, expr))
+                # pure expression with a zero destination: no effect at all
+                continue
+            j = len(fb_ops)
+            fb_ops.append(op.name)
+            call = f"FB[{j}]({a}, {b}, {imm})"
+            if lvl:
+                body.append(ind + (f"try: _v = {call}" if d >= 0
+                                   else f"try: {call}"))
+                body.append(defer(ind, instr))
+                if d >= 0:
+                    body.append(ind + "else: " + write(instr, d, "_v"))
             else:
                 site(instr)
-                j = len(fb_ops)
-                fb_ops.append(op.name)
-                if d >= 0:
-                    body.append(ind + f"regs[{d}] = FB[{j}]({a}, {b}, "
-                                f"{imm}); RD[{d}] = now + {op.latency}")
-                else:
-                    body.append(ind + f"FB[{j}]({a}, {b}, {imm})")
+                body.append(ind + (write(instr, d, call) if d >= 0
+                                   else call))
         body.append(ind + "now += 1")
 
     tabs: dict[str, tuple] = {}
@@ -1094,7 +1135,10 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
         tn = term_expr("TN", [s[1] for s in sites])
         if tn != 0:
             tail.append(f"        res.nop_count += {tn}")
-        tu = term_expr("TU", [s[2] for s in sites])
+        tb = term_expr("TB", [s[2] for s in sites])
+        if tb != 0:
+            tail.append(f"        SIM.boosted_executed += {tb}")
+        tu = term_expr("TU", [s[3] for s in sites])
         tail.append(f"        _t.instr_uid = {tu}")
         tail.append("        res.trap = _t")
         tail.append("        raise")
@@ -1108,10 +1152,14 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
         body.append(f"    res.instr_count += {total}")
     if nops:
         body.append(f"    res.nop_count += {nops}")
+    if boosted:
+        body.append(f"    SIM.boosted_executed += {boosted}")
     body.append("    return now")
 
     params = ["now", "regs=REGS", "RD=RD", "RG=RG", "M=M", "W=W", "MC=MC",
               "out=OUT", "res=RES", "SIM=SIM"]
+    params += [f"{n}={n}" for n in ("SHR", "SHW", "SBL", "SBS", "MEM", "XR")
+               if n in uses]
     if ctl_kind == "cond":
         params += [f"CT=CT_{fname}", f"CF=CF_{fname}"]
     elif ctl_kind == "jump":
@@ -1122,7 +1170,7 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
         params.append(f"CH=CH_{fname}")
     if fb_ops:
         params.append(f"FB=FB_{fname}")
-    for tag in ("TA", "TN", "TU"):
+    for tag in ("TA", "TN", "TB", "TU"):
         if tag in tabs:
             params.append(f"{tag}={tag}_{fname}")
     if tables_out is not None and (fb_ops or tabs):
@@ -1134,31 +1182,35 @@ def _emit_superscalar_fn(proc, k, mem_size, fname, tables_out) -> str:
 
 
 def build_superscalar_unit(sched) -> TranslationUnit:
+    """Translate every block of a scheduled program; raises ``ValueError``
+    when some slot cannot be expressed."""
     unit = TranslationUnit("superscalar")
+    model = sched.model
+    has_storebuf = model.max_level > 0 and model.boost_stores
     parts = []
     for pord, (pname, proc) in enumerate(sched.procedures.items()):
         names = []
         pctl = {}
         for k, block in enumerate(proc.blocks):
-            if not _sched_eligible(block):
-                names.append(None)
-                continue
             fname = f"B{pord}_{k}"
             parts.append(_emit_superscalar_fn(
-                proc, k, sched.program.mem_size, fname, unit.tables))
+                proc, k, sched.program.mem_size, has_storebuf, fname,
+                unit.tables))
             term = next((i for row in block.cycles for i in row
                          if i is not None and i.is_terminator), None)
             pctl[k] = None if term is None else term.op.name
             names.append(fname)
-            unit.translated_blocks += 1
         unit.fns[pname] = tuple(names)
         unit.ctl[pname] = pctl
+        unit.translated_blocks += len(names)
     unit.sources = {"sched": "\n\n".join(parts)}
     return unit
 
 
 def superscalar_unit(sched):
-    """Get-or-build the cached translation for a scheduled program."""
+    """Get-or-build the cached translation for a scheduled program, or
+    ``None`` when some slot cannot be expressed (the program then runs on
+    the interpreter)."""
     unit = getattr(sched, "_translation_unit", None)
     if unit is None:
         try:
@@ -1174,8 +1226,13 @@ def _bind_superscalar(unit: TranslationUnit, sim):
         "REGS": sim.regs, "RD": sim._ready, "RG": sim._ready.get,
         "M": sim.mem._mem, "W": _word_view(sim.mem._mem),
         "MC": sim.mem.check, "OUT": sim.result.output, "RES": sim.result,
-        "SIM": sim, "TRAP": Trap,
+        "SIM": sim, "TRAP": Trap, "MEM": sim.mem,
+        "SHR": sim.shadow.read, "SHW": sim.shadow.write,
+        "XR": sim.shiftbuf.record,
     }
+    if sim.storebuf is not None:
+        ns["SBL"] = sim.storebuf.load
+        ns["SBS"] = sim.storebuf.store
     for fname, tab in unit.tables.items():
         for tag, vals in tab.items():
             if tag == "FB":
@@ -1208,145 +1265,38 @@ def _bind_superscalar(unit: TranslationUnit, sim):
     return ns
 
 
-def _run_sched_rows(sim, rows, now: int) -> int:
-    """Decoded-row fallback for blocks with boosted slots: the same inner
-    loop as ``SuperscalarSim._run_fast`` for one block."""
-    regs = sim.regs
-    ready = sim._ready
-    ready_get = ready.get
-    shadow_read = sim.shadow.read
-    shadow_write = sim.shadow.write
-    storebuf = sim.storebuf
-    mem = sim.mem
-    mem_check = mem.check
-    result = sim.result
-    output = result.output
-    st = sim._stats_hot
-    for entries, watch in rows:
-        for idx in watch:
-            r = ready_get(idx, 0)
-            if r > now:
-                now = r
-        values = []
-        for entry in entries:
-            boost = entry[2]
-            if boost:
-                vals = []
-                for idx in entry[3]:
-                    if idx < 0:
-                        vals.append(0)
-                    else:
-                        hit = shadow_read(idx, boost)
-                        vals.append(regs[idx] if hit is None else hit)
-                values.append(tuple(vals))
-            else:
-                values.append(tuple(0 if idx < 0 else regs[idx]
-                                    for idx in entry[3]))
-        for entry, vals in zip(entries, values):
-            tag = entry[0]
-            if tag == 5:  # _S_NOP
-                result.nop_count += 1
-                continue
-            result.instr_count += 1
-            instr = entry[1]
-            boost = entry[2]
-            if boost:
-                sim.boosted_executed += 1
-                if st is not None:
-                    st.note_boosted(boost)
-            if tag == 4:  # _S_TERM
-                sim.now = now
-                sim._resolve_terminator(instr, vals)
-                continue
-            if tag == 3:  # _S_PRINT
-                v = vals[0] & 0xFFFFFFFF
-                output.append(v - 0x100000000 if v >= 0x80000000 else v)
-                continue
-            if tag == 0:  # _S_ALU
-                _, _, _, _, dst, lat, imm, fn = entry
-                try:
-                    value = fn(vals[0] if vals else 0,
-                               vals[1] if len(vals) > 1 else 0, imm)
-                except Trap as trap:
-                    fix = sim._trap(trap, instr)
-                    if fix is None:
-                        continue
-                    value = fix
-                if dst >= 0:
-                    if boost:
-                        shadow_write(dst, boost, value & 0xFFFFFFFF)
-                    else:
-                        regs[dst] = value & 0xFFFFFFFF
-                    ready[dst] = now + lat
-            elif tag == 1:  # _S_LOAD
-                _, _, _, _, dst, lat, off, size, signed = entry
-                addr = (vals[0] + off) & 0xFFFFFFFF
-                try:
-                    mem_check(addr, size)
-                except Trap as trap:
-                    fix = sim._trap(trap, instr)
-                    if fix is None:
-                        continue
-                    value = fix
-                else:
-                    if storebuf is not None:
-                        raw = storebuf.load(mem, addr, size, boost)
-                    else:
-                        raw = mem.read_bytes(addr, size)
-                    value = int.from_bytes(raw, "little")
-                    if signed and value >= 0x80:
-                        value -= 0x100
-                if dst >= 0:
-                    if boost:
-                        shadow_write(dst, boost, value & 0xFFFFFFFF)
-                    else:
-                        regs[dst] = value & 0xFFFFFFFF
-                    ready[dst] = now + lat
-            else:  # _S_STORE
-                _, _, _, _, off, size = entry
-                value, base = vals
-                addr = (base + off) & 0xFFFFFFFF
-                try:
-                    mem_check(addr, size)
-                except Trap as trap:
-                    sim._trap(trap, instr)
-                    continue
-                if boost:
-                    data = (value & 0xFFFFFFFF).to_bytes(4, "little")[:size]
-                    storebuf.store(boost, addr, data)
-                elif size == 4:
-                    mem.store_word(addr, value)
-                else:
-                    mem.store_byte(addr, value)
-        now += 1
-    return now
-
-
 def run_superscalar_translated(sim, entry_name):
-    """Drive a SuperscalarSim through translated blocks, falling back to
-    the decoded row interpreter for blocks with boosted slots.  Block-end
-    commit/squash/recovery is ``sim._block_end``, shared with the
-    interpreters."""
+    """Drive a SuperscalarSim through its translated blocks.
+
+    Every block runs as generated code; block-end commit/squash/recovery
+    is ``sim._block_end``, shared with the interpreters.  With stats on,
+    the driver replays each block's boost levels into ``note_boosted`` in
+    slot order — only the slots that ran, when a trap cuts a block short.
+    """
     from repro.hw.errors import CycleLimitExceeded
 
     unit = superscalar_unit(sim.sched)
     ns = _bind_superscalar(unit, sim)
-    fnmap = {p: tuple(ns[n] if n else None for n in names)
+    fnmap = {p: tuple(ns[n] for n in names)
              for p, names in unit.fns.items()}
-    if sim._decoded is None:
-        sim._decoded = sim._decode()
-    decoded = sim._decoded
     proc = sim.sched.proc(entry_name or sim.program.entry)
     tf = fnmap[proc.name]
-    blocks = decoded[proc.name]
     block_idx = 0
     deadline = (time.monotonic() + sim.wall_clock_limit
                 if sim.wall_clock_limit is not None else None)
     monotonic = time.monotonic
     max_cycles = sim.max_cycles
     result = sim.result
+    block_end = sim._block_end
     st = sim._stats_hot
-    execs = st.block_execs if st is not None else None
+    if st is not None:
+        execs = st.block_execs
+        note_boosted = st.note_boosted
+        levels = {
+            name: [tuple(i.boost for row in b.cycles for i in row
+                         if i is not None and i.boost
+                         and i.op is not Opcode.NOP) for b in p.blocks]
+            for name, p in sim.sched.procedures.items()}
     now = sim.now
     try:
         while True:
@@ -1359,24 +1309,26 @@ def run_superscalar_translated(sim, entry_name):
                     f"exceeded {sim.wall_clock_limit}s wall clock "
                     f"({now:,} cycles simulated)")
             sim._ctl = None
-            sim._cur = (proc, block_idx)
-            if execs is not None:
+            if st is None:
+                now = tf[block_idx](now)
+            else:
                 k = (proc.name, block_idx)
                 execs[k] = execs.get(k, 0) + 1
-            f = tf[block_idx]
-            if f is not None:
-                now = f(now)
-            else:
-                now = _run_sched_rows(sim, blocks[block_idx], now)
+                b0 = sim.boosted_executed
+                try:
+                    now = tf[block_idx](now)
+                finally:
+                    for level in levels[proc.name][block_idx][
+                            :sim.boosted_executed - b0]:
+                        note_boosted(level)
             sim.now = now
-            nxt = sim._block_end(proc, block_idx, blocks[block_idx])
+            nxt = block_end(proc, block_idx)
             now = sim.now  # recovery may have advanced the clock
             if nxt is None:
                 result.cycle_count = now
                 return result
             proc, block_idx = nxt
             tf = fnmap[proc.name]
-            blocks = decoded[proc.name]
     finally:
         sim.translate_counters = {
             "translated_blocks": unit.translated_blocks,

@@ -103,21 +103,27 @@ def test_operands_read_before_writes_within_a_cycle():
     assert result.output == [5]
 
 
-def test_boosted_store_without_buffer_is_a_simulation_error():
+@pytest.mark.parametrize("backend", ["reference", "interp", "translate"])
+def test_boosted_store_without_buffer_is_a_simulation_error(backend):
+    # A sequential entry block the translator could express on its own:
+    # the boosted store in the loop block must still fail the whole run
+    # with the simulator's error, on every engine.
     program = Program()
     program.data.words("x", [0])
     from repro.program import BasicBlock, Procedure
-    blk = BasicBlock("entry")
-    program.add(Procedure("main", [blk]))
+    entry = BasicBlock("entry")
+    loop = BasicBlock("loop")
+    program.add(Procedure("main", [entry, loop]))
     addr = program.data.address_of("x")
     li_addr = i(Opcode.LI, dst=T0, imm=addr)
     sw = i(Opcode.SW, srcs=(T0, T0), imm=0, boost=1)
-    br = i(Opcode.BEQ, srcs=(ZERO, ZERO), target="entry", predict_taken=True)
+    br = i(Opcode.BEQ, srcs=(ZERO, ZERO), target="loop", predict_taken=True)
     sched = hand_schedule(program, [
-        ("entry", [[li_addr, None], [br, sw], [None, None]], 1),
+        ("entry", [[li_addr, None]], None),
+        ("loop", [[br, sw], [None, None]], 0),
     ], model=MINBOOST3)  # MinBoost3 has no shadow store buffer
     with pytest.raises(SimulationError):
-        SuperscalarSim(sched, max_cycles=100).run()
+        SuperscalarSim(sched, max_cycles=100, backend=backend).run()
 
 
 def test_mispredicted_branch_squashes_boosted_state():
