@@ -128,9 +128,12 @@ def sim_microbench(workload_names: list[str]) -> dict:
 def backends_microbench(workload_names: list[str]) -> dict:
     """``interp`` vs ``translate``, side by side on identical runs.
 
-    Both engines consume the same compiled program (the translation unit is
-    built at compile time), and each sample is best-of-three, so the ratio
-    isolates execution-engine throughput from compile and binding costs.
+    Both engines consume the same compiled program.  The superscalar
+    translation unit is built and compiled at compile time; the functional
+    one is built on the first translate run, which compiles the superblocks
+    it reaches.  Each sample is best-of-three, which excludes that first
+    run, so the ratio isolates execution-engine throughput from compile and
+    binding costs.
     Every pair of runs is also checked for identical output — the perf
     record never reports a speedup the engines did not earn legally.
     """

@@ -7,6 +7,9 @@ memoized on disk, keyed by everything that could change the output:
 
 * :data:`CODE_VERSION` — bumped whenever the compiler/scheduler/simulator
   semantics change, invalidating every prior entry;
+* the interpreter's bytecode magic (``importlib.util.MAGIC_NUMBER``) —
+  entries carry marshalled code objects of generated code, which only an
+  interpreter with the same magic can load;
 * the kind of artifact ("compiled" for a full :class:`CompiledProgram`,
   "reference" for a functional-reference run);
 * a SHA-256 of the Minic source text;
@@ -38,6 +41,7 @@ maximum uid it contains, and loading bumps the global counter past it via
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import pickle
 import sys
@@ -59,7 +63,7 @@ __all__ = ["CODE_VERSION", "CompileCache", "default_cache_dir"]
 #: front end, optimizer, register allocator, profiler, or schedulers that
 #: can alter their output for unchanged source + config, and on any change
 #: to the cached translation units' layout.
-CODE_VERSION = 6
+CODE_VERSION = 7
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 
@@ -70,6 +74,12 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-boost"
+
+
+def _version_tag() -> str:
+    """:data:`CODE_VERSION` and this interpreter's bytecode magic, the two
+    things an entry is only valid under."""
+    return f"{CODE_VERSION} {importlib.util.MAGIC_NUMBER.hex()}"
 
 
 def _fingerprint_config(config: CompileConfig) -> str:
@@ -159,13 +169,15 @@ class CompileCache:
 
     # --------------------------------------------------------------- versions
     def _check_version(self) -> None:
-        """Purge entries left behind by an older :data:`CODE_VERSION`.
+        """Purge entries left behind by an older :data:`CODE_VERSION` or by
+        an interpreter with another bytecode magic.
 
-        The version participates in every key hash, so stale entries can
-        never be *loaded* — but without this sweep a version bump leaves
-        them on disk forever, silently unreachable.  The cache directory
-        carries a ``VERSION`` marker; on mismatch every entry is deleted
-        with a one-line stderr note.
+        Both participate in every key hash, so stale entries can never be
+        *loaded* — but without this sweep a version bump or a toolchain
+        change leaves them on disk forever, silently unreachable.  The
+        cache directory carries a ``VERSION`` marker (``<version>
+        <magic>``); on mismatch every entry is deleted with a one-line
+        stderr note.
         """
         if self._version_checked:
             return
@@ -175,10 +187,11 @@ class CompileCache:
             on_disk = marker.read_text().strip()
         except OSError:
             on_disk = None
-        if on_disk == str(CODE_VERSION):
+        tag = _version_tag()
+        if on_disk == tag:
             return
         entries = list(self.cache_dir.glob("*.pkl"))
-        if entries and on_disk != str(CODE_VERSION):
+        if entries:
             for path in entries:
                 try:
                     path.unlink()
@@ -190,13 +203,19 @@ class CompileCache:
                     path.unlink()
                 except OSError:
                     pass
+            old_version, _, old_magic = (on_disk or "").partition(" ")
+            if old_version == str(CODE_VERSION):
+                stale = (f"bytecode magic {old_magic or 'unknown'} "
+                         f"(now {importlib.util.MAGIC_NUMBER.hex()})")
+            else:
+                stale = (f"code version {old_version or 'unknown'} "
+                         f"(now {CODE_VERSION})")
             print(f"compile cache: purged {self.purged} entr"
-                  f"{'y' if self.purged == 1 else 'ies'} from code version "
-                  f"{on_disk or 'unknown'} (now {CODE_VERSION})",
+                  f"{'y' if self.purged == 1 else 'ies'} from {stale}",
                   file=sys.stderr)
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(marker, f"{CODE_VERSION}\n")
+            atomic_write_text(marker, f"{tag}\n")
         except OSError:
             pass
 
@@ -204,7 +223,7 @@ class CompileCache:
     def key(self, kind: str, source: str, config: Optional[CompileConfig],
             train_inputs: Optional[InputSet] = None, extra: str = "") -> str:
         text = "\x00".join([
-            f"v{CODE_VERSION}", kind,
+            f"v{_version_tag()}", kind,
             hashlib.sha256(source.encode()).hexdigest(),
             _fingerprint_config(config) if config is not None else "-",
             _fingerprint_inputs(train_inputs),

@@ -194,13 +194,17 @@ def compile_ir(
     source_count = program.instruction_count()
     reference = clone_program(program)
     sched, stats = schedule_ir(program, config)
-    # Build the translating backend's generated code now, so it is part of
-    # the compile (and of CompileCache payloads — the units are plain-data
-    # attributes on these plain dataclasses) instead of a hidden cost on
-    # the first simulator run.
+    # Generate the superscalar engine's code and compile every function of
+    # it now, so it is part of the compile and of CompileCache payloads (the
+    # unit is an attribute of the schedule and pickles with its code
+    # objects): a warm run compiles nothing for this engine.  The
+    # reference's functional unit is left to its first translate run,
+    # which compiles only the superblocks it reaches: bench runs only the
+    # scalar cell's reference.
     from repro.hw import translate
-    translate.functional_unit(reference)
-    translate.superscalar_unit(sched)
+    unit = translate.superscalar_unit(sched)
+    if unit is not None:
+        unit.compile_all()
     return CompiledProgram(config=config, program=program, sched=sched,
                            stats=stats, source_instr_count=source_count,
                            reference=reference)

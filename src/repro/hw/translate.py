@@ -34,14 +34,20 @@ this on every workload; the backend hands off to the reference loop at any
 block boundary where fuel could run out inside the superblock, exactly like
 the PR-2 fast path does per block.
 
-Generated artifacts are plain data (source strings + literal tables), so a
-:class:`TranslationUnit` pickles inside ``CompileCache`` payloads and the
-translation survives a warm-cache round trip; ``compile()`` of a source
-string is memoized per process.
+Every generated function is its own source string, compiled at most once
+for the life of its :class:`TranslationUnit`: the unit memoizes the code
+objects, and binding a unit to a simulator fills each slot of the driver's
+function table with a stub that compiles (or takes from the memo) and
+binds its one function on first call, so a run compiles only the functions
+it reaches.  Units are plain data plus those code objects, marshalled, so a
+unit pickles inside ``CompileCache`` payloads (whose key carries the
+interpreter's bytecode magic) and a warm load runs without compiling
+anything the compile already compiled.
 """
 
 from __future__ import annotations
 
+import marshal
 import sys
 import time
 
@@ -84,19 +90,6 @@ _MEM_BASE = 0x1000  # Memory.base (DATA_BASE); pinned by tests
 #                                the trap identity for a bad token)
 #   (4, 0, 0, fuel)              halt / program end
 
-#: generated-source string -> compiled code object, shared across sims
-_CODE_CACHE: dict[str, object] = {}
-
-
-def _code_for(source: str):
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) > 128:
-            _CODE_CACHE.clear()
-        code = compile(source, "<repro-translate>", "exec")
-        _CODE_CACHE[source] = code
-    return code
-
 
 class _WordView:
     """Word-indexed fallback view for big-endian hosts (or odd-sized
@@ -131,20 +124,25 @@ def _word_view(m: bytearray):
 
 
 class TranslationUnit:
-    """Plain-data result of translating one program (pickles in the cache).
+    """Result of translating one program (pickles in the cache).
 
     ``sources`` maps variant name (``plain``/``stats``/``record`` for the
-    functional engine, ``sched`` for the superscalar engine) to generated
-    module source; ``tables`` maps generated function name to its literal
-    side tables (trap-site corrections, table-call opcode names); ``fns``
-    maps procedure name to the tuple of per-block function names.
-    Everything else is counters and memo metadata.  Runtime binding happens
-    in ``_bind_*`` below.
+    functional engine, ``sched`` for the superscalar engine) to a dict of
+    generated function name -> that one function's source; ``record`` has
+    only the memo-eligible superblocks.  ``code`` is the same shape and
+    memoizes each function's compiled code object once :meth:`code_of` has
+    compiled it; it pickles marshalled, so it is only valid on an
+    interpreter with the same bytecode magic.  ``tables`` maps generated
+    function name to its literal side tables (trap-site corrections,
+    table-call opcode names); ``fns`` maps procedure name to the tuple of
+    per-block function names.  Everything else is counters and memo
+    metadata.  Runtime binding happens in ``_bind_*`` below.
     """
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.sources: dict[str, str] = {}
+        self.sources: dict[str, dict[str, str]] = {}
+        self.code: dict[str, dict] = {}
         self.tables: dict[str, dict] = {}
         self.fns: dict[str, tuple] = {}
         #: flat gid -> (procedure name, block label | index) for stats
@@ -158,6 +156,56 @@ class TranslationUnit:
         self.max_reg = 0
         #: superscalar only: procedure -> {block idx -> ctl spec}
         self.ctl: dict[str, dict] = {}
+
+    def code_of(self, variant: str, fname: str):
+        """The code object defining ``fname``, compiled on first request."""
+        memo = self.code.setdefault(variant, {})
+        code = memo.get(fname)
+        if code is None:
+            code = memo[fname] = compile(self.sources[variant][fname],
+                                         "<repro-translate>", "exec")
+        return code
+
+    def compile_all(self) -> None:
+        """Compile every function of every variant into the memo."""
+        for variant, sources in self.sources.items():
+            for fname in sources:
+                self.code_of(variant, fname)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["code"] = marshal.dumps(self.code)
+        return state
+
+    def __setstate__(self, state):
+        state["code"] = marshal.loads(state["code"])
+        self.__dict__.update(state)
+
+
+def _bind(unit: TranslationUnit, variant: str, ns: dict) -> dict:
+    """Per procedure, the function table of one variant bound to ``ns``.
+
+    Every slot whose function exists starts as a stub.  On its first call
+    the stub execs the function's code (compiled once per unit) into
+    ``ns``, so default arguments such as ``regs=REGS`` bind to the live
+    namespace, and replaces itself with the real function.
+    """
+    sources = unit.sources[variant]
+
+    def stub(table, k, fname):
+        def first_call(*args):
+            exec(unit.code_of(variant, fname), ns)
+            fn = table[k] = ns[fname]
+            return fn(*args)
+        return first_call
+
+    tables = {}
+    for pname, names in unit.fns.items():
+        table = tables[pname] = [None] * len(names)
+        for k, fname in enumerate(names):
+            if fname in sources:
+                table[k] = stub(table, k, fname)
+    return tables
 
 
 def _rx(reg) -> int:
@@ -625,7 +673,8 @@ def build_functional_unit(program) -> TranslationUnit:
         for b in proc.blocks:
             gid_of[(pname, b.label)] = len(unit.block_keys)
             unit.block_keys.append((pname, b.label))
-    parts = {"plain": [], "stats": [], "record": []}
+    unit.sources = {"plain": {}, "stats": {}, "record": {}}
+    plain, stats, record = unit.sources.values()
     for pord, (pname, proc) in enumerate(program.procedures.items()):
         index = {b.label: i for i, b in enumerate(proc.blocks)}
         names = []
@@ -633,12 +682,9 @@ def build_functional_unit(program) -> TranslationUnit:
         for k in range(len(proc.blocks)):
             fname = f"S{pord}_{k}"
             fb = _FnBuild(pname, proc, k, index, program.mem_size, gid_of)
-            parts["plain"].append(
-                _emit_functional_fn(fb, fname, False, False, unit.tables))
-            parts["stats"].append(
-                _emit_functional_fn(fb, fname, True, False, None))
-            parts["record"].append(
-                _emit_functional_fn(fb, fname, True, True, None))
+            plain[fname] = _emit_functional_fn(fb, fname, False, False,
+                                               unit.tables)
+            stats[fname] = _emit_functional_fn(fb, fname, True, False, None)
             names.append(fname)
             unit.translated_blocks += 1
             if fb.used and fb.used[-1] > unit.max_reg:
@@ -646,11 +692,13 @@ def build_functional_unit(program) -> TranslationUnit:
             if len(fb.chain) > 1:
                 unit.superblocks_chained += 1
             if fb.memo_ok:
+                # the driver calls ``record`` only through memo states
+                record[fname] = _emit_functional_fn(fb, fname, True, True,
+                                                    None)
                 pmemo[k] = (fb.key_regs, tuple(fb.written))
         unit.fns[pname] = tuple(names)
         if pmemo:
             unit.memo[pname] = pmemo
-    unit.sources = {v: "\n\n".join(lines) for v, lines in parts.items()}
     return unit
 
 
@@ -658,9 +706,10 @@ def functional_unit(program, nregs=None):
     """Get-or-build the cached translation for ``program``.
 
     A build failure (undecodable instruction) marks the program
-    untranslatable — callers fall back to the interpreter.  The unit rides
-    along in ``CompileCache`` payloads because it is stored as a plain
-    attribute on the (plain-dataclass) program.
+    untranslatable — callers fall back to the interpreter.  The unit is
+    stored as a plain attribute on the (plain-dataclass) program, so every
+    later run of this program object reuses it and its compiled code.  The
+    compile pipeline does not build it: the first translate run does.
 
     IR-mutating passes call ``Program.invalidate_caches`` to drop a stale
     unit; ``nregs`` (the simulator's register-file size) is a backstop that
@@ -684,10 +733,12 @@ def functional_unit(program, nregs=None):
 
 
 def _bind_functional(unit: TranslationUnit, sim, variant: str, be=None):
-    """Exec one generated-source variant against a live simulator's state.
+    """Bind one generated variant to a live simulator's state.
 
-    Returns the namespace; generated functions close over the register
-    list, memory views and result object through default arguments.
+    Returns ``(tables, ns)``: the per-procedure function tables (see
+    :func:`_bind`) and their namespace; generated functions close over the
+    register list, memory views and result object through default
+    arguments.
     """
     ns = {
         "REGS": sim.regs, "M": sim.mem._mem, "W": _word_view(sim.mem._mem),
@@ -707,8 +758,7 @@ def _bind_functional(unit: TranslationUnit, sim, variant: str, be=None):
     if variant == "record":
         ns["LL"] = []
         ns["LS"] = []
-    exec(_code_for(unit.sources[variant]), ns)
-    return ns
+    return _bind(unit, variant, ns), ns
 
 
 def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
@@ -721,9 +771,8 @@ def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
 
     unit = functional_unit(sim.program)
     stats_on = sim._stats_hot is not None
-    ns = _bind_functional(unit, sim, "stats" if stats_on else "plain")
-    fnmap = {p: tuple(ns[n] for n in names)
-             for p, names in unit.fns.items()}
+    fnmap, ns = _bind_functional(unit, sim,
+                                 "stats" if stats_on else "plain")
     BE = ns.get("BE")
     result = sim.result
     regs = sim.regs
@@ -738,16 +787,14 @@ def run_functional_translated(sim, entry_name: str, fuel: int, deadline):
         for idx2, (kregs, wregs) in pmemo.items():
             mstates[p][idx2] = [0, 0, 0, 0, {}, kregs, wregs]
     hits = misses = invals = 0
-    rb = None  # lazily bound record-variant namespace
+    rb = None  # lazily bound record variant: (tables, LL, LS)
 
     def _record(pname2, idx2, mst2, key, f, dl):
         """Execute via the recording variant and memoize the trace."""
         nonlocal rb
         if rb is None:
-            rns = _bind_functional(unit, sim, "record", be=BE)
-            rb = ({p: tuple(rns[n] for n in names)
-                   for p, names in unit.fns.items()},
-                  rns["LL"], rns["LS"])
+            rfns, rns = _bind_functional(unit, sim, "record", be=BE)
+            rb = (rfns, rns["LL"], rns["LS"])
         rfns, LL, LS = rb
         LL.clear()
         LS.clear()
@@ -1187,15 +1234,15 @@ def build_superscalar_unit(sched) -> TranslationUnit:
     unit = TranslationUnit("superscalar")
     model = sched.model
     has_storebuf = model.max_level > 0 and model.boost_stores
-    parts = []
+    sources = unit.sources["sched"] = {}
     for pord, (pname, proc) in enumerate(sched.procedures.items()):
         names = []
         pctl = {}
         for k, block in enumerate(proc.blocks):
             fname = f"B{pord}_{k}"
-            parts.append(_emit_superscalar_fn(
+            sources[fname] = _emit_superscalar_fn(
                 proc, k, sched.program.mem_size, has_storebuf, fname,
-                unit.tables))
+                unit.tables)
             term = next((i for row in block.cycles for i in row
                          if i is not None and i.is_terminator), None)
             pctl[k] = None if term is None else term.op.name
@@ -1203,7 +1250,6 @@ def build_superscalar_unit(sched) -> TranslationUnit:
         unit.fns[pname] = tuple(names)
         unit.ctl[pname] = pctl
         unit.translated_blocks += len(names)
-    unit.sources = {"sched": "\n\n".join(parts)}
     return unit
 
 
@@ -1222,6 +1268,8 @@ def superscalar_unit(sched):
 
 
 def _bind_superscalar(unit: TranslationUnit, sim):
+    """Bind the ``sched`` variant to a live simulator's state; returns the
+    per-procedure function tables (see :func:`_bind`)."""
     ns = {
         "REGS": sim.regs, "RD": sim._ready, "RG": sim._ready.get,
         "M": sim.mem._mem, "W": _word_view(sim.mem._mem),
@@ -1261,8 +1309,7 @@ def _bind_superscalar(unit: TranslationUnit, sim):
                 ns["CA_" + fname] = ("call", term.target)
             elif opname == "HALT":
                 ns["CH_" + fname] = ("halt",)
-    exec(_code_for(unit.sources["sched"]), ns)
-    return ns
+    return _bind(unit, "sched", ns)
 
 
 def run_superscalar_translated(sim, entry_name):
@@ -1276,9 +1323,7 @@ def run_superscalar_translated(sim, entry_name):
     from repro.hw.errors import CycleLimitExceeded
 
     unit = superscalar_unit(sim.sched)
-    ns = _bind_superscalar(unit, sim)
-    fnmap = {p: tuple(ns[n] for n in names)
-             for p, names in unit.fns.items()}
+    fnmap = _bind_superscalar(unit, sim)
     proc = sim.sched.proc(entry_name or sim.program.entry)
     tf = fnmap[proc.name]
     block_idx = 0

@@ -1,5 +1,6 @@
 """The on-disk compile cache: keying, invalidation, corruption handling."""
 
+import importlib.util
 import pickle
 import warnings
 
@@ -69,6 +70,14 @@ def test_code_version_bump_invalidates(cache, monkeypatch):
     fresh = CompileCache(cache.cache_dir)
     fresh.compile_minic(SOURCE, CONFIGS["minboost3"])
     assert fresh.stats()["hits"] == 0 and fresh.stats()["misses"] == 1
+
+
+def test_key_carries_the_bytecode_magic(cache, monkeypatch):
+    """Entries hold marshalled code objects, which another interpreter's
+    bytecode magic cannot load: the magic is part of every key."""
+    key = cache.key("compiled", SOURCE, CONFIGS["minboost3"])
+    monkeypatch.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+    assert cache.key("compiled", SOURCE, CONFIGS["minboost3"]) != key
 
 
 def test_corrupted_entry_discarded_with_warning(cache):

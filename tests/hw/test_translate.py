@@ -6,14 +6,18 @@ boosted slots — same output, same counters, same traps — including at fuel
 boundaries and across the trace-reuse memo layer's legality edges (a trap
 reached from a memoized superblock, a store aliasing a memoized load).
 These tests pin that equivalence, plus the expression templates the code
-generator inlines, the backend-selection knob, and the CompileCache
-round-trip of generated-code artifacts.
+generator inlines, the backend-selection knob, the CompileCache round-trip
+of generated code with its compiled code objects, and that a generated
+function is compiled at most once, and only when a run reaches it.
 """
 
 import os
 import random
 import subprocess
 import sys
+import types
+from collections import Counter
+from importlib.util import MAGIC_NUMBER
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,7 @@ from repro.hw.backend import BACKENDS, backend_choice, resolve_backend
 from repro.hw.errors import FuelExhausted
 from repro.hw.exceptions import Trap
 from repro.hw.functional import FunctionalSim
+from repro.hw import translate
 from repro.hw.superscalar import SuperscalarSim
 from repro.hw.translate import (
     HOT_THRESHOLD, TranslationUnit, functional_unit, superscalar_unit,
@@ -512,41 +517,155 @@ def test_bench_json_identical_across_backends(tmp_path):
 
 
 def test_translation_unit_rides_compile_cache(tmp_path):
-    """Generated-code artifacts are part of the cached compile: a warm
-    load carries the translation units and they run correctly."""
+    """A compile carries the superscalar unit with every function compiled
+    and leaves the reference without a unit; a warm load brings the code
+    objects back and both engines run on translate, matching interp."""
     wl = get("grep")
     cache = CompileCache(tmp_path / "cache")
     cold = cache.compile_minic(wl.source, CONFIGS["minboost3"], wl.train)
-    assert isinstance(cold.reference.__dict__.get("_translation_unit"),
-                      TranslationUnit)
+    assert "_translation_unit" not in cold.reference.__dict__
 
     warm_cache = CompileCache(tmp_path / "cache")
     warm = warm_cache.compile_minic(wl.source, CONFIGS["minboost3"],
                                     wl.train)
     assert warm_cache.stats()["hits"] == 1
-    funit = warm.reference.__dict__.get("_translation_unit")
+    assert "_translation_unit" not in warm.reference.__dict__
     sunit = warm.sched.__dict__.get("_translation_unit")
-    assert isinstance(funit, TranslationUnit)
     assert isinstance(sunit, TranslationUnit)
-    assert funit.sources and sunit.sources
+    assert sunit.sources["sched"]
+    assert sunit.code["sched"].keys() == sunit.sources["sched"].keys()
+    assert all(isinstance(code, types.CodeType)
+               for code in sunit.code["sched"].values())
 
     image = make_input_image(warm.reference, wl.train)
-    a = FunctionalSim(warm.reference, input_image=image,
-                      backend="translate").run()
+    fsim = FunctionalSim(warm.reference, input_image=image,
+                         backend="translate")
+    a = fsim.run()
+    assert fsim.translate_counters["translated_blocks"] > 0
     b = FunctionalSim(warm.reference, input_image=image,
                       backend="interp").run()
     assert (a.output, a.instr_count) == (b.output, b.instr_count)
     simage = make_input_image(warm.program, wl.train)
-    c = SuperscalarSim(warm.sched, input_image=simage,
-                       backend="translate").run()
+    ssim = SuperscalarSim(warm.sched, input_image=simage,
+                          backend="translate")
+    c = ssim.run()
+    assert ssim.translate_counters["translated_blocks"] > 0
     d = SuperscalarSim(warm.sched, input_image=simage,
                        backend="interp").run()
     assert (c.output, c.cycle_count) == (d.output, d.cycle_count)
 
 
+def test_warm_superscalar_unit_runs_without_compiling(tmp_path,
+                                                      monkeypatch):
+    """A warm-loaded cell's superscalar code comes from the cache entry:
+    running it never calls ``compile``."""
+    wl = get("compress")
+    cache = CompileCache(tmp_path / "cache")
+    cache.compile_minic(wl.source, CONFIGS["boost7"], wl.train)
+    warm = CompileCache(tmp_path / "cache").compile_minic(
+        wl.source, CONFIGS["boost7"], wl.train)
+    image = make_input_image(warm.program, wl.train)
+    expected = _observables(SuperscalarSim(warm.sched, input_image=image,
+                                           backend="reference").run())
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled generated code on a warm load")
+
+    monkeypatch.setattr(translate, "compile", no_compile, raising=False)
+    sim = SuperscalarSim(warm.sched, input_image=image, backend="translate")
+    assert _observables(sim.run()) == expected
+    assert sim.translate_counters["translated_blocks"] > 0
+
+
+def _dead_block_program():
+    """``entry`` jumps over ``dead`` to ``end``; ``dead`` never runs."""
+    program = Program()
+    program.add(Procedure("main", [
+        BasicBlock("entry", [Instruction(Opcode.LI, dst=_T0, imm=5)],
+                   Instruction(Opcode.J, target="end")),
+        BasicBlock("dead", [Instruction(Opcode.PRINT, srcs=(ZERO,))],
+                   Instruction(Opcode.HALT)),
+        BasicBlock("end", [Instruction(Opcode.PRINT, srcs=(_T0,))],
+                   Instruction(Opcode.HALT)),
+    ]))
+    return program
+
+
+def _dead_block_schedule():
+    return _hand_schedule(BOOST1, lambda x: [
+        ("entry", [[Instruction(Opcode.LI, dst=_T0, imm=5),
+                    Instruction(Opcode.J, target="end")]], 0),
+        ("dead", [[Instruction(Opcode.PRINT, srcs=(ZERO,))],
+                  [Instruction(Opcode.HALT)]], 1),
+        ("end", [[Instruction(Opcode.PRINT, srcs=(_T0,))],
+                 [Instruction(Opcode.HALT)]], 1),
+    ])
+
+
+def test_translate_compiles_only_the_functions_a_run_reaches():
+    """A block the run never reaches keeps its source but is never
+    compiled, on either engine."""
+    program = _dead_block_program()
+    fsim = FunctionalSim(program, backend="translate")
+    assert fsim.run().output == [5]
+    funit = functional_unit(program)
+    # ``entry`` chains into ``end``: one superblock covers the whole run
+    assert set(funit.code["plain"]) == {funit.fns["main"][0]}
+    assert funit.fns["main"][1] in funit.sources["plain"]
+
+    sched = _dead_block_schedule()
+    ssim = SuperscalarSim(sched, max_cycles=100, backend="translate")
+    assert ssim.run().output == [5]
+    sunit = superscalar_unit(sched)
+    dead = sunit.fns["main"][1]
+    assert dead in sunit.sources["sched"]
+    assert dead not in sunit.code["sched"]
+    assert set(sunit.code["sched"]) == {sunit.fns["main"][0],
+                                        sunit.fns["main"][2]}
+
+
+def test_binding_a_unit_twice_compiles_each_function_once(monkeypatch):
+    """Every run binds the unit afresh; the unit's memo still compiles
+    each reached function once per process, record variant included."""
+    compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
+    inputs = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
+    compiles = Counter()
+    real_compile = compile
+
+    def counting_compile(source, *args, **kwargs):
+        compiles[source] += 1
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(translate, "compile", counting_compile,
+                        raising=False)
+    first, sim = _run_backend(compiled, inputs, "translate")
+    assert sim.translate_counters["trace_hits"] > 0
+    second, _ = _run_backend(compiled, inputs, "translate")
+    assert first == second
+    unit = functional_unit(compiled.program)
+    assert unit.code["record"]
+    reached = sum(len(codes) for codes in unit.code.values())
+    assert len(compiles) == reached
+    assert set(compiles.values()) == {1}
+
+
+def test_record_variant_only_for_memo_eligible_superblocks():
+    """The driver calls ``record`` only through memo states, so only
+    memo-eligible superblocks have one."""
+    compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
+    unit = functional_unit(compiled.program)
+    eligible = {unit.fns[p][k] for p, pmemo in unit.memo.items()
+                for k in pmemo}
+    assert eligible
+    assert set(unit.sources["record"]) == eligible
+    assert len(unit.sources["plain"]) > len(eligible)
+
+
 def test_cache_purges_stale_code_version(tmp_path, capsys):
-    """Entries from an older CODE_VERSION are unreachable (the version is
-    in every key) — they must be swept with a one-line stderr note."""
+    """Entries from an older CODE_VERSION, or written by an interpreter
+    with another bytecode magic, are unreachable (both are in every key) —
+    they must be swept with a one-line stderr note."""
+    current = [str(CODE_VERSION), MAGIC_NUMBER.hex()]
     d = tmp_path / "cache"
     d.mkdir()
     (d / "VERSION").write_text(f"{CODE_VERSION - 1}\n")
@@ -558,17 +677,32 @@ def test_cache_purges_stale_code_version(tmp_path, capsys):
     assert cache.purged == 2
     assert not list(d.glob("*.pkl"))
     assert not list(d.glob("*.strikes"))
-    assert (d / "VERSION").read_text().strip() == str(CODE_VERSION)
+    assert (d / "VERSION").read_text().split() == current
     err = capsys.readouterr().err
     assert "purged 2 entries" in err
     assert f"code version {CODE_VERSION - 1} (now {CODE_VERSION})" in err
+
+    # same CODE_VERSION, another interpreter's marshalled bytecode
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "VERSION").write_text(f"{CODE_VERSION} 00000d0a\n")
+    (other / "aaaa.pkl").write_bytes(b"foreign")
+    cache = CompileCache(other)
+    assert cache.load("cccc") is None
+    assert cache.purged == 1
+    assert not list(other.glob("*.pkl"))
+    assert (other / "VERSION").read_text().split() == current
+    err = capsys.readouterr().err
+    assert "purged 1 entry" in err
+    assert f"bytecode magic 00000d0a (now {MAGIC_NUMBER.hex()})" in err
 
 
 def test_cache_version_sweep_spares_current_entries(tmp_path):
     d = tmp_path / "cache"
     cache = CompileCache(d)
     cache.store("k1", compile_minic(get("grep").source, CONFIGS["scalar"]))
-    assert (d / "VERSION").read_text().strip() == str(CODE_VERSION)
+    assert (d / "VERSION").read_text().split() == [str(CODE_VERSION),
+                                                   MAGIC_NUMBER.hex()]
     again = CompileCache(d)
     assert again.load("k1") is not None
     assert again.purged == 0
