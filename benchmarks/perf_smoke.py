@@ -239,7 +239,12 @@ def stats_overhead_microbench(workload_names: list[str]) -> dict:
 
 
 def cache_microbench(workload_names: list[str]) -> dict:
-    """Cold compile vs warm reload through the on-disk cache."""
+    """Cold compile vs warm reload through the on-disk cache.
+
+    The cold compile is one pass.  The warm reload takes a few
+    milliseconds, so it is timed best of three, each pass through a fresh
+    ``CompileCache`` so that every pass reads its entries from disk.
+    """
     workloads = [w for w in all_workloads() if w.name in workload_names]
     config_keys = ["scalar", "global", "minboost3"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -248,10 +253,14 @@ def cache_microbench(workload_names: list[str]) -> dict:
         cold_s, _ = _time(lambda: [
             cache.compile_minic(w.source, CONFIGS[k], w.train)
             for w, k in cells])
-        warm_cache = CompileCache(tmp)
-        warm_s, _ = _time(lambda: [
-            warm_cache.compile_minic(w.source, CONFIGS[k], w.train)
-            for w, k in cells])
+
+        def warm_pass() -> CompileCache:
+            warm = CompileCache(tmp)
+            for w, k in cells:
+                warm.compile_minic(w.source, CONFIGS[k], w.train)
+            return warm
+
+        warm_s, warm_cache = _best3(warm_pass)
         return {
             "cells": len(cells),
             "cold_cells_per_sec": round(len(cells) / cold_s, 2),

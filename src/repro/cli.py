@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.frontend import CodegenError, LexError, ParseError
 from repro.harness.cache import CODE_VERSION, CompileCache
@@ -162,28 +162,65 @@ def _make_chaos(args: argparse.Namespace,
     return ChaosConfig(seed=args.chaos, max_faults=min(2, policy.retries))
 
 
-def _open_journal(args: argparse.Namespace, command: str, fingerprint: str,
-                  facets: Optional[dict] = None) -> Optional[Journal]:
-    """The campaign journal when --journal/--resume asked for one.
+def _progress(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
 
-    Raises :class:`JournalError` when resuming against a journal written by
-    a different campaign (workloads/models/seeds changed) — the error names
-    the facet(s) that diverged.
+
+def _run_campaign(args: argparse.Namespace, command: str, unit: str,
+                  facets: dict, run: Callable, render: Callable[[Any], str],
+                  report: Callable[[Any], int]) -> int:
+    """The lifecycle the campaign verbs (bench, verify, fuzz) share.
+
+    ``run(jobs, policy, chaos, journal)`` builds a fresh driver, runs it and
+    returns its result; ``render`` turns a result into the text the chaos
+    self-test compares; ``report`` prints the result and returns the
+    verb's exit code.  Around them this opens the journal that
+    ``--journal``/``--resume`` ask for (keyed by ``facets``), routes SIGTERM
+    like Ctrl-C, runs ``--chaos``' clean in-process oracle and prints its
+    verdict, and maps a :class:`JournalError` to exit 2 and an interruption
+    to exit 130 with a count of the finished ``unit``.
     """
-    if not (args.resume or args.journal):
-        return None
-    path = args.journal or f".repro-{command}.journal"
-    return Journal(path, fingerprint, resume=args.resume, facets=facets)
-
-
-def _resume_hint(args: argparse.Namespace,
-                 journal: Optional[Journal]) -> str:
-    if journal is None:
-        return ""
-    hint = "; resume with --resume"
-    if args.journal:
-        hint += f" --journal {args.journal}"
-    return hint
+    policy = _make_policy(args)
+    chaos = _make_chaos(args, policy)
+    journal = None
+    try:
+        if args.resume or args.journal:
+            journal = Journal(args.journal or f".repro-{command}.journal",
+                              Journal.make_fingerprint(**facets),
+                              resume=args.resume, facets=facets)
+        with graceful_signals():
+            # Chaos self-test oracle: the same campaign, clean and in
+            # process (for bench it also warms the compile cache, making
+            # the chaotic run cheap).
+            clean_text = (render(run(1, None, None, None))
+                          if chaos is not None else None)
+            result = run(args.jobs, policy, chaos, journal)
+            text = render(result) if clean_text is not None else None
+    except JournalError as err:
+        print(f"repro {command}: {err}", file=sys.stderr)
+        return 2
+    except CampaignInterrupted as intr:
+        hint = ""
+        if journal is not None:
+            hint = "; resume with --resume"
+            if args.journal:
+                hint += f" --journal {args.journal}"
+        print(f"{command}: interrupted — {intr.completed}/{intr.total} "
+              f"{unit} finished{hint}", file=sys.stderr)
+        return 130
+    finally:
+        if journal is not None:
+            journal.close()
+    exit_code = report(result)
+    if clean_text is not None:
+        if text == clean_text:
+            print(f"{command}: chaos self-test PASSED — supervised run "
+                  "byte-identical to the clean run", file=sys.stderr)
+        else:
+            print(f"{command}: chaos self-test FAILED — supervised run "
+                  "diverged from the clean run", file=sys.stderr)
+            exit_code = 1
+    return exit_code
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -280,80 +317,43 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   workloads=[w.name for w in workloads],
                   sabotage=args.sabotage, configs=BENCH_CONFIG_KEYS,
                   stats=args.stats)
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "bench", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro bench: {err}", file=sys.stderr)
-        return 2
     t0 = time.time()
-    lab = Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
-              collect_stats=args.stats)
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test: a clean serial run is the oracle the
-                # supervised chaotic run must byte-match (it also warms the
-                # compile cache, making the chaotic run cheap).
-                clean = Lab(workloads, sabotage=args.sabotage,
-                            cache=_make_cache(args),
-                            collect_stats=args.stats)
-                clean.populate(jobs=1)
-                clean_text = render_all(clean)
-            if args.jobs > 1 or policy is not None or journal is not None:
-                lab.populate(args.jobs, policy=policy, chaos=chaos,
-                             journal=journal)
-            text = render_all(lab)
-    except JournalError as err:
-        print(f"repro bench: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"bench: interrupted — {intr.completed}/{intr.total} cells "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    print(text)
-    if args.stats:
-        # Printed after (not inside) render_all so the chaos self-test's
-        # byte-comparison of the core report is unaffected.
-        print(render_stats(lab))
-    # Timing is nondeterministic — keep it off stdout so reports diff clean.
-    print(f"[{time.time() - t0:.0f}s of simulation]", file=sys.stderr)
-    if args.json:
-        atomic_write_json(args.json, bench_json(lab))
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.write_experiments:
-        from repro.harness.report import write_experiments_md
-        write_experiments_md(lab, args.write_experiments)
-        print(f"wrote {args.write_experiments}", file=sys.stderr)
-    exit_code = 0
-    if clean_text is not None:
-        if text == clean_text:
-            print("bench: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("bench: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
-    if lab.errors:
-        print(f"bench: {len(lab.errors)} cell(s) failed — see the error "
-              "summary above", file=sys.stderr)
-        exit_code = 1
-    return exit_code
+
+    def run(jobs, policy, chaos, journal) -> Lab:
+        lab = Lab(workloads, sabotage=args.sabotage, cache=_make_cache(args),
+                  collect_stats=args.stats)
+        lab.populate(jobs, policy=policy, chaos=chaos, journal=journal)
+        return lab
+
+    def report(lab: Lab) -> int:
+        print(render_all(lab))
+        if args.stats:
+            # Printed after (not inside) render_all so the chaos self-test's
+            # byte-comparison of the core report is unaffected.
+            print(render_stats(lab))
+        # Timing is nondeterministic — keep it off stdout so reports diff
+        # clean.
+        print(f"[{time.time() - t0:.0f}s of simulation]", file=sys.stderr)
+        if args.json:
+            atomic_write_json(args.json, bench_json(lab))
+            print(f"wrote {args.json}", file=sys.stderr)
+        if args.write_experiments:
+            from repro.harness.report import write_experiments_md
+            write_experiments_md(lab, args.write_experiments)
+            print(f"wrote {args.write_experiments}", file=sys.stderr)
+        if lab.errors:
+            print(f"bench: {len(lab.errors)} cell(s) failed — see the error "
+                  "summary above", file=sys.stderr)
+            return 1
+        return 0
+
+    return _run_campaign(args, "bench", "cells", facets, run, render_all,
+                         report)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify import VerifyCampaign, run_selftest
 
-    def progress(msg: str) -> None:
-        print(msg, file=sys.stderr, flush=True)
-
-    exit_code = 0
     if not args.no_selftest:
         selftest = run_selftest()
         print(selftest.format())
@@ -370,7 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return VerifyCampaign(
             workload_names=args.workloads or None,
             model_keys=args.models or None,
-            seeds=seeds, seed_start=seed_start, progress=progress,
+            seeds=seeds, seed_start=seed_start, progress=_progress,
             cache=_make_cache(args))
 
     try:
@@ -382,45 +382,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   workloads=[w.name for w in campaign.workloads],
                   models=campaign.model_keys, seeds=seeds,
                   seed_start=seed_start)
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "verify", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro verify: {err}", file=sys.stderr)
-        return 2
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test oracle: the same campaign, clean + serial.
-                clean_text = make_campaign().run(jobs=1).format()
-            summary = campaign.run(jobs=args.jobs, policy=policy,
-                                   chaos=chaos, journal=journal)
-    except JournalError as err:
-        print(f"repro verify: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"verify: interrupted — {intr.completed}/{intr.total} buckets "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    text = summary.format()
-    print(text)
-    if not summary.ok:
-        exit_code = 1
-    if clean_text is not None:
-        if text == clean_text:
-            print("verify: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("verify: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
-    return exit_code
+
+    def run(jobs, policy, chaos, journal):
+        return make_campaign().run(jobs=jobs, policy=policy, chaos=chaos,
+                                   journal=journal)
+
+    def report(summary) -> int:
+        print(summary.format())
+        return 0 if summary.ok else 1
+
+    return _run_campaign(args, "verify", "buckets", facets, run,
+                         lambda summary: summary.format(), report)
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -429,92 +401,60 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.obs.stats import STATS_SCHEMA
     from repro.verify.fuzz import FuzzCampaign, GenConfig
 
-    def progress(msg: str) -> None:
-        print(msg, file=sys.stderr, flush=True)
-
     config = GenConfig(size=args.size, pred_lo=args.pred_lo,
                        pred_hi=args.pred_hi)
-    try:
-        campaign = FuzzCampaign(
+
+    def make_campaign() -> FuzzCampaign:
+        return FuzzCampaign(
             count=args.count, seed_start=args.seed_start, config=config,
             model_keys=args.models or None, backends=args.backends or None,
             plans=args.plans, sabotage=args.sabotage,
             dynamic_variants=args.dynamic_variants or None,
-            progress=progress)
+            progress=_progress)
+
+    try:
+        campaign = make_campaign()
     except ValueError as err:
         print(f"repro fuzz: {err}", file=sys.stderr)
         return 2
     facets = dict(command="fuzz", code_version=CODE_VERSION,
                   **campaign.facets())
-    fingerprint = Journal.make_fingerprint(**facets)
-    policy = _make_policy(args)
-    chaos = _make_chaos(args, policy)
-    try:
-        journal = _open_journal(args, "fuzz", fingerprint, facets)
-    except JournalError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
-        return 2
-    clean_text = None
-    try:
-        with graceful_signals():
-            if args.chaos is not None:
-                # Chaos self-test oracle: the same campaign, clean + serial.
-                clean_campaign = FuzzCampaign(
-                    count=args.count, seed_start=args.seed_start,
-                    config=config, model_keys=args.models or None,
-                    backends=args.backends or None, plans=args.plans,
-                    sabotage=args.sabotage,
-                    dynamic_variants=args.dynamic_variants or None)
-                clean_text = clean_campaign.run(jobs=1).format()
-            summary = campaign.run(jobs=args.jobs, policy=policy,
-                                   chaos=chaos, journal=journal)
-    except JournalError as err:
-        print(f"repro fuzz: {err}", file=sys.stderr)
-        return 2
-    except CampaignInterrupted as intr:
-        print(f"fuzz: interrupted — {intr.completed}/{intr.total} programs "
-              f"finished{_resume_hint(args, journal)}", file=sys.stderr)
-        return 130
-    finally:
-        if journal is not None:
-            journal.close()
-    # The chaos comparison uses the pre-triage text: reduction happens once,
-    # in the parent, after the merge — it is not part of what parallelism
-    # must reproduce byte-for-byte.
-    text = summary.format()
-    campaign.finalize(summary, triage_dir=Path(args.triage_dir),
-                      reduce=not args.no_reduce)
-    print(summary.format())
-    exit_code = 0 if summary.ok else 1
-    if args.json:
-        stats = summary.stats()
-        atomic_write_json(args.json, {
-            "schema": "repro-fuzz/1",
-            "facets": facets,
-            "stats": {"schema": STATS_SCHEMA, "fuzz": stats.snapshot()},
-            "divergences": [{
-                "program": d.program, "seed": d.seed,
-                "signature": d.signature, "plan": d.plan_text,
-                "repro": d.repro_cmd,
-                "reduced_lines": (len(d.reduced_source.splitlines())
-                                  if d.reduced_source else None),
-            } for d in summary.divergences],
-            "triage": [{
-                "signature": t.signature, "bucket": t.bucket,
-                "occurrences": t.occurrences,
-                "reduced_lines": t.reduced_lines, "note": t.note,
-            } for t in summary.triage],
-        })
-        print(f"wrote {args.json}", file=sys.stderr)
-    if clean_text is not None:
-        if text == clean_text:
-            print("fuzz: chaos self-test PASSED — supervised run "
-                  "byte-identical to the clean run", file=sys.stderr)
-        else:
-            print("fuzz: chaos self-test FAILED — supervised run diverged "
-                  "from the clean run", file=sys.stderr)
-            exit_code = 1
-    return exit_code
+
+    def run(jobs, policy, chaos, journal):
+        return make_campaign().run(jobs=jobs, policy=policy, chaos=chaos,
+                                   journal=journal)
+
+    def report(summary) -> int:
+        # The chaos comparison uses the pre-triage text: reduction happens
+        # once, in the parent, after the merge — it is not part of what
+        # parallelism must reproduce byte-for-byte.
+        campaign.finalize(summary, triage_dir=Path(args.triage_dir),
+                          reduce=not args.no_reduce)
+        print(summary.format())
+        if args.json:
+            stats = summary.stats()
+            atomic_write_json(args.json, {
+                "schema": "repro-fuzz/1",
+                "facets": facets,
+                "stats": {"schema": STATS_SCHEMA, "fuzz": stats.snapshot()},
+                "divergences": [{
+                    "program": d.program, "seed": d.seed,
+                    "signature": d.signature, "plan": d.plan_text,
+                    "repro": d.repro_cmd,
+                    "reduced_lines": (len(d.reduced_source.splitlines())
+                                      if d.reduced_source else None),
+                } for d in summary.divergences],
+                "triage": [{
+                    "signature": t.signature, "bucket": t.bucket,
+                    "occurrences": t.occurrences,
+                    "reduced_lines": t.reduced_lines, "note": t.note,
+                } for t in summary.triage],
+            })
+            print(f"wrote {args.json}", file=sys.stderr)
+        return 0 if summary.ok else 1
+
+    return _run_campaign(args, "fuzz", "programs", facets, run,
+                         lambda summary: summary.format(), report)
 
 
 def cmd_workloads(_args: argparse.Namespace) -> int:

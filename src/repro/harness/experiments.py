@@ -111,10 +111,10 @@ class Lab:
         self._reference: dict[str, list[int]] = {}
         #: (workload, config) -> error text for every degraded cell
         self.errors: dict[tuple[str, str], str] = {}
-        #: (workload, config) -> structured supervision-failure record
-        #: (kind: timeout/killed/exception/unpicklable, attempts, error) for
-        #: cells that degraded at the *harness* level rather than inside the
-        #: simulation
+        #: (workload, config) -> structured failure record (kind:
+        #: exception/timeout/killed/unpicklable, attempts, error) for cells
+        #: whose worker raised or that degraded at the *harness* level,
+        #: rather than failing inside :meth:`cell`
         self.failures: dict[tuple[str, str], dict] = {}
         #: journal keys of cells restored by ``populate(journal=...)``
         self.resumed: set[tuple[str, str]] = set()
@@ -211,103 +211,49 @@ class Lab:
                  journal=None) -> None:
         """Pre-compute every bench cell, optionally across worker processes.
 
-        With ``jobs=1`` this simply warms the in-process memo the way the
-        report renderers would.  With ``jobs>1`` (or a supervision
-        ``policy`` carrying a timeout, or ``chaos``) each (workload, config)
-        cell runs in a supervised worker that replays the exact serial code
-        path (including error recording), and the outcomes are merged back
-        in serial task order — so the rendered report is byte-identical to
-        a serial run.  The on-disk compile cache (when configured) keeps the
-        workers from recompiling what siblings already built.
+        Every (workload, config) cell runs :meth:`_cell_task` through
+        :func:`repro.harness.parallel.run_tasks`: in process at ``jobs=1``,
+        where cells share this Lab's memos (each workload's reference
+        output is computed once), or in supervised workers forked from this
+        Lab (``jobs>1``, a ``policy`` carrying a timeout, or ``chaos``).
+        Outcomes merge in cell order, so the rendered report is
+        byte-identical at any ``jobs``.  The on-disk compile cache (when
+        configured) keeps the workers from recompiling what siblings
+        already built.
 
         ``journal`` (a :class:`repro.harness.resilience.Journal`) makes the
-        campaign crash-safe: cells already journaled are restored instead of
-        re-run, and each newly completed cell is durably appended the moment
-        it finishes.  Harness-level failures (timeout, killed worker,
-        exhausted retries) are *not* journaled — a resumed campaign retries
-        them — and are recorded in :attr:`errors` (rendered as ``ERR``
-        cells) plus, structured, in :attr:`failures`.
+        campaign crash-safe: journaled cells are restored instead of re-run
+        (and listed in :attr:`resumed`), and each newly completed cell is
+        durably appended the moment it finishes.  A cell whose worker
+        raised, or that failed at the harness level (timeout, killed
+        worker, exhausted retries), is recorded in :attr:`errors` (rendered
+        as ``ERR`` cells) plus, structured, in :attr:`failures`; it is not
+        journaled, so a resumed campaign retries it.
         """
         cells = [(w.name, key)
                  for w in self.workloads for key in BENCH_CONFIG_KEYS]
-        todo: list[tuple[str, str]] = []
-        for wname, key in cells:
-            jkey = f"{wname}/{key}"
-            if journal is not None and jkey in journal.completed:
-                result, cell_error = journal.completed[jkey]
-                self.resumed.add((wname, key))
-                if cell_error is not None:
-                    self.errors[(wname, key)] = cell_error
-                elif result is not None:
-                    self._measured[(wname, key)] = result
-                continue
-            todo.append((wname, key))
-
-        from repro.harness.resilience import CampaignInterrupted
-
-        restored = len(cells) - len(todo)
-        supervised = (jobs > 1 or chaos is not None
-                      or (policy is not None and policy.preemptive))
-        if not supervised:
-            done = restored
-            try:
-                for wname, key in todo:
-                    self.cell(wname, key)
-                    if journal is not None:
-                        journal.record(f"{wname}/{key}",
-                                       (self._measured.get((wname, key)),
-                                        self.errors.get((wname, key))))
-                    done += 1
-            except KeyboardInterrupt:
-                raise CampaignInterrupted(done, len(cells)) from None
-            return
-
-        cache_dir = (str(self.cache.cache_dir) if self.cache is not None
-                     else None)
-        tasks = [(wname, key, self.sabotage, cache_dir, self.collect_stats)
-                 for wname, key in todo]
-
-        def checkpoint(outcome) -> None:
-            # Journal as each cell completes (completion order): only clean
-            # worker outcomes — a supervision failure must be retried by a
-            # resumed run, not replayed from the journal.
-            if journal is None or outcome.error is not None:
-                return
-            wname, key = todo[outcome.index]
-            journal.record(f"{wname}/{key}", outcome.value)
-
-        try:
-            outcomes = run_tasks(_cell_worker, tasks, jobs, policy=policy,
-                                 chaos=chaos, on_result=checkpoint)
-        except CampaignInterrupted as intr:
-            raise CampaignInterrupted(restored + intr.completed,
-                                      len(cells)) from None
-        for (wname, key), outcome in zip(todo, outcomes):
+        outcomes = run_tasks(self._cell_task, cells, jobs, policy, chaos,
+                             journal, keys=[f"{w}/{k}" for w, k in cells])
+        for cell, outcome in zip(cells, outcomes):
+            if outcome.kind == "restored":
+                self.resumed.add(cell)
             if outcome.error is not None:
-                # Worker infrastructure failure (not a recorded cell error) —
-                # degrade exactly like any other broken cell.
-                self.errors[(wname, key)] = outcome.error
-                self.failures[(wname, key)] = {
+                self.errors[cell] = outcome.error
+                self.failures[cell] = {
                     "kind": outcome.kind, "attempts": outcome.attempts,
                     "error": outcome.error}
                 continue
             result, cell_error = outcome.value
             if cell_error is not None:
-                self.errors[(wname, key)] = cell_error
+                self.errors[cell] = cell_error
             elif result is not None:
-                self._measured[(wname, key)] = result
+                self._measured[cell] = result
 
-
-def _cell_worker(task: tuple) -> tuple[Optional[ExecutionResult],
-                                       Optional[str]]:
-    """One bench cell in a worker process: replay ``Lab.cell`` for a single
-    (workload, config) pair and return (result, recorded-error-text)."""
-    wname, config_key, sabotage, cache_dir, collect_stats = task
-    lab = Lab(sabotage=sabotage,
-              cache=CompileCache(cache_dir) if cache_dir else None,
-              collect_stats=collect_stats)
-    result = lab.cell(wname, config_key)
-    return result, lab.errors.get((wname, config_key))
+    def _cell_task(self, cell: tuple[str, str]
+                   ) -> tuple[Optional[ExecutionResult], Optional[str]]:
+        """One bench cell: :meth:`cell`, returned as (result, recorded error
+        text) — the journaled payload."""
+        return self.cell(*cell), self.errors.get(cell)
 
 
 # ------------------------------------------------------------------ Table 1

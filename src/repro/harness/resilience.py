@@ -1,14 +1,14 @@
 """Crash-safe campaign machinery: supervision, retries, journals, chaos.
 
-The experiment drivers (``bench``/``verify``) run long campaigns whose unit
-of work — compile a workload, simulate hundreds of thousands of cycles — can
-wedge or die: a mispredict storm makes a cell pathological, a worker process
-is OOM-killed, the whole campaign catches a SIGKILL.  PR 1 hardened the
-*simulated architecture* against injected faults; this module hardens the
-*harness running it*:
+The campaign drivers (``bench``/``verify``/``fuzz``) run long campaigns
+whose unit of work — compile a workload, simulate hundreds of thousands of
+cycles — can wedge or die: a mispredict storm makes a cell pathological, a
+worker process is OOM-killed, the whole campaign catches a SIGKILL.  The
+verify campaign checks the *simulated architecture* against injected
+faults; this module hardens the *harness running it*:
 
-* :class:`SupervisionPolicy` + :func:`run_supervised` — a supervision layer
-  over :func:`repro.harness.parallel.run_tasks`: per-task wall-clock
+* :class:`SupervisionPolicy` + :func:`run_supervised` — the process pool
+  behind :func:`repro.harness.parallel.run_tasks`: per-task wall-clock
   timeouts, detection and replacement of hung or killed workers, and
   bounded retries with exponential backoff + deterministic seeded jitter.
   Results merge in task order, so a supervised run is byte-identical to a
@@ -19,7 +19,8 @@ is OOM-killed, the whole campaign catches a SIGKILL.  PR 1 hardened the
   SHA-256 guarded), flushed and fsync'd before the campaign moves on.  A
   SIGKILL mid-write leaves a torn tail that loading detects and truncates;
   ``--resume`` then skips every journaled task and re-runs only the rest,
-  producing output byte-identical to an uninterrupted run.
+  producing output byte-identical to an uninterrupted run.  ``run_tasks``
+  does the restoring and recording.
 
 * :class:`ChaosConfig` — seeded fault injection *into the harness itself*:
   workers randomly die (``os._exit``), hang (sleep past the watchdog), or
@@ -179,9 +180,14 @@ def _worker_main(conn, worker: Callable[[Any], Any],
     SIGINT is ignored — shutdown is the supervisor's job (it closes the
     pipe or kills the process), so a Ctrl-C hitting the whole process group
     cannot produce worker tracebacks racing the supervisor's own teardown.
+    SIGTERM gets its default action back: a forked worker inherits the
+    supervisor's :func:`graceful_signals` handler, which would turn the
+    SIGTERM that multiprocessing sends leftover workers at exit into a
+    KeyboardInterrupt traceback.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except ValueError:
         pass
     while True:
@@ -285,7 +291,9 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
     seeded exponential backoff until the retry budget runs out, at which
     point the task's outcome records the failure (kind ``timeout`` /
     ``killed`` / ``exception`` / ``unpicklable``) for the caller's
-    graceful-degradation machinery.  Outcomes return in task order.
+    graceful-degradation machinery.  Outcomes return in task order;
+    ``on_result`` sees each task's final outcome as it arrives (completion
+    order), which is where ``run_tasks`` journals it.
     """
     policy = policy or SupervisionPolicy()
     total = len(tasks)

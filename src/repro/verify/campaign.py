@@ -130,7 +130,6 @@ class VerifyCampaign:
         model_keys: Optional[list[str]] = None,
         seeds: int = 20,
         seed_start: int = 0,
-        checker: Optional[DifferentialChecker] = None,
         progress: Optional[Callable[[str], None]] = None,
         cache: Optional[CompileCache] = None,
     ) -> None:
@@ -148,19 +147,19 @@ class VerifyCampaign:
                              f"available: {sorted(CAMPAIGN_CONFIGS)}")
         self.seeds = seeds
         self.seed_start = seed_start
-        self._custom_checker = checker is not None
-        self.checker = checker or DifferentialChecker()
+        self.checker = DifferentialChecker()
         self.progress = progress or (lambda msg: None)
         self.cache = cache
+        #: the last workload this process prepared: (name, prepared program,
+        #: input image, fault plans)
+        self._last_prepared: Optional[tuple] = None
 
     # ------------------------------------------------------------------- run
     def run(self, jobs: int = 1, policy=None, chaos=None, journal=None
             ) -> CampaignSummary:
-        """Run the campaign; ``jobs>1`` fans (workload, model) buckets to
-        worker processes and merges in serial order, so the formatted
-        summary is byte-identical to ``jobs=1``.  A campaign carrying a
-        custom checker always runs serially (closures don't cross process
-        boundaries).
+        """Run every (workload, model) bucket through :meth:`_bucket` and
+        merge in bucket order, so the formatted summary is byte-identical
+        at any ``jobs``.
 
         ``journal`` (a :class:`repro.harness.resilience.Journal`) makes the
         campaign crash-safe: buckets already journaled are restored instead
@@ -170,102 +169,50 @@ class VerifyCampaign:
         byte-identical summary.  ``policy``/``chaos`` select supervised
         execution (timeouts, worker replacement, retries, fault
         injection)."""
-        supervised = (jobs > 1 or chaos is not None
-                      or (policy is not None and policy.preemptive))
-        if supervised and not self._custom_checker:
-            return self._run_supervised(jobs, policy, chaos, journal)
+        buckets = [(w.name, model_key)
+                   for w in self.workloads for model_key in self.model_keys]
+        outcomes = run_tasks(self._bucket, buckets, jobs, policy, chaos,
+                             journal, keys=[f"{w}/{m}" for w, m in buckets])
         summary = CampaignSummary()
-        try:
-            for w in self.workloads:
-                todo = [m for m in self.model_keys
-                        if journal is None
-                        or f"{w.name}/{m}" not in journal.completed]
-                prepared = image = plans = None
-                if todo:
-                    self.progress(f"preparing {w.name} ...")
-                    prepared = self._prepare(w)
-                    image = make_input_image(prepared, w.eval)
-                    plans = [make_plan(prepared, seed) for seed in
-                             range(self.seed_start,
-                                   self.seed_start + self.seeds)]
-                for model_key in self.model_keys:
-                    jkey = f"{w.name}/{model_key}"
-                    if model_key not in todo:
-                        bucket, divergences, oracle_errors = \
-                            journal.completed[jkey]
-                    else:
-                        bucket, divergences, oracle_errors = self._run_bucket(
-                            w.name, model_key, prepared, image, plans)
-                        if journal is not None:
-                            journal.record(
-                                jkey, (bucket, divergences, oracle_errors))
-                    summary.results.append(bucket)
-                    summary.divergences.extend(divergences)
-                    summary.oracle_errors.extend(oracle_errors)
-        except KeyboardInterrupt:
-            from repro.harness.resilience import CampaignInterrupted
-            total = len(self.workloads) * len(self.model_keys)
-            raise CampaignInterrupted(len(summary.results), total) from None
+        for (wname, model_key), outcome in zip(buckets, outcomes):
+            if outcome.error is not None:
+                summary.results.append(
+                    CampaignResult(workload=wname, config=model_key))
+                summary.oracle_errors.append(
+                    f"{wname}/{model_key}: worker failed: "
+                    f"{outcome.error} (repro: "
+                    + verify_repro_cmd(wname, model_key, seeds=self.seeds,
+                                       seed_start=self.seed_start) + ")")
+                continue
+            bucket, divergences, oracle_errors = outcome.value
+            summary.results.append(bucket)
+            summary.divergences.extend(divergences)
+            summary.oracle_errors.extend(oracle_errors)
         return summary
+
+    def _bucket(self, task: tuple[str, str]
+                ) -> tuple[CampaignResult, list[DivergenceError], list[str]]:
+        """One (workload, model) bucket — the journaled payload.  The last
+        prepared workload is memoized: buckets arrive in workload order, so
+        a process prepares each workload once (a retry can bring one
+        back)."""
+        wname, model_key = task
+        if self._last_prepared is None or self._last_prepared[0] != wname:
+            self.progress(f"preparing {wname} ...")
+            w = next(w for w in self.workloads if w.name == wname)
+            prepared = self._prepare(w)
+            image = make_input_image(prepared, w.eval)
+            plans = [make_plan(prepared, seed) for seed in
+                     range(self.seed_start, self.seed_start + self.seeds)]
+            self._last_prepared = (wname, prepared, image, plans)
+        _, prepared, image, plans = self._last_prepared
+        return self._run_bucket(wname, model_key, prepared, image, plans)
 
     def _prepare(self, w) -> Program:
         config = CAMPAIGN_CONFIGS[self.model_keys[0]]
         if self.cache is not None:
             return self.cache.prepare_ir(w.source, config, w.train)
         return prepare_ir(compile_source(w.source), config, w.train)
-
-    def _run_supervised(self, jobs: int, policy=None, chaos=None,
-                        journal=None) -> CampaignSummary:
-        from repro.harness.resilience import CampaignInterrupted
-
-        cache_dir = (str(self.cache.cache_dir) if self.cache is not None
-                     else None)
-        buckets = [(w.name, model_key)
-                   for w in self.workloads for model_key in self.model_keys]
-        todo = [(wname, model_key) for wname, model_key in buckets
-                if journal is None
-                or f"{wname}/{model_key}" not in journal.completed]
-        tasks = [(wname, model_key, self.seeds, self.seed_start, cache_dir)
-                 for wname, model_key in todo]
-
-        def checkpoint(outcome) -> None:
-            # Only clean bucket results are journaled: a harness-level
-            # failure (timeout, killed worker) must be retried on resume.
-            if journal is None or outcome.error is not None:
-                return
-            wname, model_key = todo[outcome.index]
-            journal.record(f"{wname}/{model_key}", outcome.value)
-
-        try:
-            outcomes = dict(zip(todo, run_tasks(
-                _bucket_worker, tasks, jobs, policy=policy, chaos=chaos,
-                on_result=checkpoint)))
-        except CampaignInterrupted as intr:
-            raise CampaignInterrupted(
-                len(buckets) - len(todo) + intr.completed,
-                len(buckets)) from None
-        summary = CampaignSummary()
-        for wname, model_key in buckets:
-            if (wname, model_key) not in outcomes:
-                bucket, divergences, oracle_errors = \
-                    journal.completed[f"{wname}/{model_key}"]
-            else:
-                outcome = outcomes[(wname, model_key)]
-                if outcome.error is not None:
-                    summary.results.append(
-                        CampaignResult(workload=wname, config=model_key))
-                    summary.oracle_errors.append(
-                        f"{wname}/{model_key}: worker failed: "
-                        f"{outcome.error} (repro: "
-                        + verify_repro_cmd(wname, model_key,
-                                           seeds=self.seeds,
-                                           seed_start=self.seed_start) + ")")
-                    continue
-                bucket, divergences, oracle_errors = outcome.value
-            summary.results.append(bucket)
-            summary.divergences.extend(divergences)
-            summary.oracle_errors.extend(oracle_errors)
-        return summary
 
     def _run_bucket(self, wname: str, model_key: str, prepared: Program,
                     image, plans: list[FaultPlan],
@@ -357,27 +304,6 @@ class VerifyCampaign:
             backend=backend_choice(),
             context={"reference": full_report.reference.summary(),
                      "superscalar": full_report.superscalar.summary()})
-
-
-def _bucket_worker(task: tuple) -> tuple[CampaignResult,
-                                         list[DivergenceError], list[str]]:
-    """One (workload, model) bucket in a worker process.
-
-    Replays the exact serial code path — same preparation (via the shared
-    on-disk cache when configured), same plans, same checker — and returns
-    the pieces the parent merges in serial order.
-    """
-    wname, model_key, seeds, seed_start, cache_dir = task
-    campaign = VerifyCampaign(
-        workload_names=[wname], model_keys=[model_key],
-        seeds=seeds, seed_start=seed_start,
-        cache=CompileCache(cache_dir) if cache_dir else None)
-    w = campaign.workloads[0]
-    prepared = campaign._prepare(w)
-    image = make_input_image(prepared, w.eval)
-    plans = [make_plan(prepared, seed) for seed in
-             range(seed_start, seed_start + seeds)]
-    return campaign._run_bucket(wname, model_key, prepared, image, plans)
 
 
 # ------------------------------------------------------------------ self-test

@@ -27,10 +27,11 @@ that carries a trap forces both machines onto the interpreter engine (the
 fault hook has no superblock port), so the translating backend is genuinely
 exercised by the benign and flip-only cells.
 
-The campaign rides the same machinery as ``bench``/``verify``: the
-supervised worker pool (``--jobs``, timeouts, retries, ``--chaos``) and the
-append-only journal (``--journal``/``--resume``).  Results merge in serial
-seed order, so the formatted report is byte-identical at any parallelism.
+The campaign rides the same run loop as ``bench``/``verify``
+(:func:`repro.harness.parallel.run_tasks`): the supervised worker pool
+(``--jobs``, timeouts, retries, ``--chaos``) and the append-only journal
+(``--journal``/``--resume``).  Results merge in serial seed order, so the
+formatted report is byte-identical at any parallelism.
 
 Divergences are grouped by **signature** — ``machine/model/backend/
 observables/oracle-disposition`` — and the first divergence of each
@@ -311,9 +312,9 @@ def _run_dynamic_outcome(program, image, variant: str,
     return outcome
 
 
-def _run_program(seed: int, config: GenConfig, model_keys: tuple,
-                 backends: tuple, nplans: int, sabotage: Optional[str],
-                 dyn_variants: tuple = tuple(DYNAMIC_FUZZ_VARIANTS),
+def _run_program(seed: int, config: GenConfig, model_keys: list[str],
+                 backends: list[str], nplans: int, sabotage: Optional[str],
+                 dyn_variants: list[str],
                  max_steps: int = _MAX_STEPS, max_cycles: int = _MAX_CYCLES,
                  wall_limit: Optional[float] = _WALL_LIMIT,
                  ) -> tuple[FuzzProgramResult, list[FuzzDivergence],
@@ -447,16 +448,6 @@ def _run_program(seed: int, config: GenConfig, model_keys: tuple,
     return res, divergences, errors
 
 
-def _program_worker(task: tuple) -> tuple[FuzzProgramResult,
-                                          list[FuzzDivergence], list[str]]:
-    """One generated program in a worker process — everything in the task
-    tuple is plain data, so it crosses the supervised pool's process
-    boundary."""
-    seed, config, model_keys, backends, nplans, sabotage, dyn_variants = task
-    return _run_program(seed, config, tuple(model_keys), tuple(backends),
-                        nplans, sabotage, tuple(dyn_variants))
-
-
 # ------------------------------------------------------------------- campaign
 class FuzzCampaign:
     """Generate ``count`` programs from ``seed_start`` and run every cell."""
@@ -519,97 +510,43 @@ class FuzzCampaign:
             "dynamic_variants": list(self.dynamic_variants),
         }
 
-    def _seeds(self) -> list[int]:
-        return list(range(self.seed_start, self.seed_start + self.count))
-
-    def _task(self, seed: int) -> tuple:
-        return (seed, self.config, tuple(self.model_keys),
-                tuple(self.backends), self.plans, self.sabotage,
-                tuple(self.dynamic_variants))
-
-    @staticmethod
-    def _key(seed: int) -> str:
-        return f"fuzz/{seed:08d}"
-
     # -------------------------------------------------------------------- run
     def run(self, jobs: int = 1, policy=None, chaos=None, journal=None
             ) -> FuzzSummary:
-        """Run the campaign; merge order is seed order at any ``jobs``."""
-        supervised = (jobs > 1 or chaos is not None
-                      or (policy is not None and policy.preemptive))
-        if supervised:
-            return self._run_supervised(jobs, policy, chaos, journal)
+        """Run every program through :meth:`_program`; merge order is seed
+        order at any ``jobs``, and ``journal`` restores and records
+        programs as ``fuzz/<seed>``."""
+        seeds = range(self.seed_start, self.seed_start + self.count)
+        outcomes = run_tasks(self._program, seeds, jobs, policy, chaos,
+                             journal, keys=[f"fuzz/{s:08d}" for s in seeds])
         summary = FuzzSummary()
-        seeds = self._seeds()
-        try:
-            for seed in seeds:
-                jkey = self._key(seed)
-                if journal is not None and jkey in journal.completed:
-                    payload = journal.completed[jkey]
-                else:
-                    payload = _program_worker(self._task(seed))
-                    if journal is not None:
-                        journal.record(jkey, payload)
-                self._merge(summary, payload)
-        except KeyboardInterrupt:
-            from repro.harness.resilience import CampaignInterrupted
-            raise CampaignInterrupted(len(summary.results),
-                                      len(seeds)) from None
+        for seed, outcome in zip(seeds, outcomes):
+            if outcome.error is not None:
+                summary.results.append(FuzzProgramResult(
+                    name=f"fuzz-{seed:06d}", seed=seed))
+                summary.oracle_errors.append(
+                    f"fuzz-{seed:06d}: worker failed: {outcome.error} "
+                    f"(repro: "
+                    + fuzz_repro_cmd(seed, self.config, self.plans,
+                                     sabotage=self.sabotage) + ")")
+                continue
+            res, divergences, errors = outcome.value
+            summary.results.append(res)
+            summary.divergences.extend(divergences)
+            summary.oracle_errors.extend(errors)
+            if divergences:
+                self.progress(f"  DIVERGENCE {res.name}: "
+                              + ", ".join(d.signature for d in divergences))
+            elif res.compile_error:
+                self.progress(f"  COMPILE ERROR {res.name}")
         return summary
 
-    def _merge(self, summary: FuzzSummary, payload) -> None:
-        res, divergences, errors = payload
-        summary.results.append(res)
-        summary.divergences.extend(divergences)
-        summary.oracle_errors.extend(errors)
-        if divergences:
-            self.progress(f"  DIVERGENCE {res.name}: "
-                          + ", ".join(d.signature for d in divergences))
-        elif res.compile_error:
-            self.progress(f"  COMPILE ERROR {res.name}")
-
-    def _run_supervised(self, jobs: int, policy=None, chaos=None,
-                        journal=None) -> FuzzSummary:
-        from repro.harness.resilience import CampaignInterrupted
-
-        seeds = self._seeds()
-        todo = [seed for seed in seeds
-                if journal is None or self._key(seed) not in journal.completed]
-        tasks = [self._task(seed) for seed in todo]
-
-        def checkpoint(outcome) -> None:
-            # only clean results are journaled; harness-level failures
-            # (timeout, killed worker) must be retried on resume
-            if journal is None or outcome.error is not None:
-                return
-            journal.record(self._key(todo[outcome.index]), outcome.value)
-
-        try:
-            outcomes = dict(zip(todo, run_tasks(
-                _program_worker, tasks, jobs, policy=policy, chaos=chaos,
-                on_result=checkpoint)))
-        except CampaignInterrupted as intr:
-            raise CampaignInterrupted(
-                len(seeds) - len(todo) + intr.completed,
-                len(seeds)) from None
-        summary = FuzzSummary()
-        for seed in seeds:
-            if seed not in outcomes:
-                payload = journal.completed[self._key(seed)]
-            else:
-                outcome = outcomes[seed]
-                if outcome.error is not None:
-                    summary.results.append(FuzzProgramResult(
-                        name=f"fuzz-{seed:06d}", seed=seed))
-                    summary.oracle_errors.append(
-                        f"fuzz-{seed:06d}: worker failed: {outcome.error} "
-                        f"(repro: "
-                        + fuzz_repro_cmd(seed, self.config, self.plans,
-                                         sabotage=self.sabotage) + ")")
-                    continue
-                payload = outcome.value
-            self._merge(summary, payload)
-        return summary
+    def _program(self, seed: int) -> tuple[FuzzProgramResult,
+                                           list[FuzzDivergence], list[str]]:
+        """All cells of one generated program — the journaled payload."""
+        return _run_program(seed, self.config, self.model_keys,
+                            self.backends, self.plans, self.sabotage,
+                            self.dynamic_variants)
 
     # -------------------------------------------------------- reduce + triage
     def _cell_signature(self, source: str, fd: FuzzDivergence

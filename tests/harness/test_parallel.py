@@ -5,6 +5,7 @@ import pytest
 from repro.harness.experiments import BENCH_CONFIG_KEYS, Lab
 from repro.harness.parallel import run_tasks
 from repro.harness.report import bench_json, render_all
+from repro.harness.resilience import CampaignInterrupted, Journal
 from repro.workloads.registry import Workload
 
 SOURCE = """
@@ -28,7 +29,7 @@ def _stub(name="awk", eval_inputs=None):
                           else {"xs": [8, 1, 7, 2, 6, 3, 5, 4], "n": 8}))
 
 
-# Workers must be module-level for pickling across the pool.
+# Workers for the run_tasks tests.
 def _square(x):
     return x * x
 
@@ -51,6 +52,24 @@ def _raise_unpicklable(x):
     if x == 1:
         raise _UnpicklableError("cannot cross the pipe")
     return x
+
+
+def _interrupt_on_three(x):
+    if x == 3:
+        raise KeyboardInterrupt
+    return x
+
+
+FINGERPRINT = Journal.make_fingerprint(command="run-tasks-test")
+
+
+def _journal(path, *records):
+    """A resumed journal holding ``records`` (key, payload) pairs."""
+    journal = Journal(path, FINGERPRINT)
+    for key, payload in records:
+        journal.record(key, payload)
+    journal.close()
+    return Journal(path, FINGERPRINT, resume=True)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -83,16 +102,56 @@ def test_unpicklable_exception_degrades_to_one_task(jobs):
     assert "_raise_unpicklable" in (outcomes[1].traceback or "")
 
 
-def test_supervised_populate_ships_worker_errors_home():
-    """The bench integration: an exception raised inside a worker cell
-    crosses the pipe as text (type name + message, never the object) and
-    lands in ``Lab.errors`` as an ERR cell."""
-    lab = Lab([_stub(name="notinregistry")])
-    lab.populate(jobs=2)
-    assert all("KeyError" in lab.errors[("notinregistry", key)]
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_tasks_restores_and_journals(jobs, tmp_path):
+    """A journaled task is restored, not run; every clean outcome is
+    journaled, a failed one is not."""
+    journal = _journal(tmp_path / "j", ("t0", "from the journal"))
+    outcomes = run_tasks(_explode_on_three, [1, 2, 3], jobs=jobs,
+                         journal=journal, keys=["t0", "t1", "t2"])
+    journal.close()
+    assert [o.kind for o in outcomes] == ["restored", "ok", "exception"]
+    assert [o.value for o in outcomes] == ["from the journal", 2, None]
+    resumed = Journal(tmp_path / "j", FINGERPRINT, resume=True)
+    resumed.close()
+    assert resumed.completed == {"t0": "from the journal", "t1": 2}
+
+
+def test_interrupt_counts_restored_tasks(tmp_path):
+    journal = _journal(tmp_path / "j", ("t0", 1))
+    with pytest.raises(CampaignInterrupted) as info:
+        run_tasks(_interrupt_on_three, [1, 2, 3, 4], journal=journal,
+                  keys=["t0", "t1", "t2", "t3"])
+    journal.close()
+    # t0 restored, t1 run, t2 interrupted
+    assert (info.value.completed, info.value.total) == (2, 4)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_supervised_populate_ships_worker_errors_home(jobs):
+    """The bench integration: an exception a cell does not catch (here a
+    TypeError from a ``None`` input word) is shipped home as text (type
+    name + message, never the object) and lands in ``Lab.errors`` as an ERR
+    cell, the same way in process and across the pool."""
+    lab = Lab([_stub(eval_inputs={"xs": [None], "n": 1})])
+    lab.populate(jobs=jobs)
+    assert all("TypeError" in lab.errors[("awk", key)]
                for key in BENCH_CONFIG_KEYS)
+    assert {f["kind"] for f in lab.failures.values()} == {"exception"}
     from repro.harness.report import render_errors
-    assert "notinregistry/scalar: KeyError" in render_errors(lab)
+    assert "awk/scalar: TypeError" in render_errors(lab)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_populate_measures_the_labs_own_workloads(jobs):
+    """Pool workers fork from the Lab, so a stub that shares a registry
+    workload's name is measured as itself, not as the registry's awk."""
+    lazy = Lab([_stub()])
+    text_lazy = render_all(lazy)
+    eager = Lab([_stub()])
+    eager.populate(jobs=jobs)
+    assert render_all(eager) == text_lazy
+    assert not eager.errors
 
 
 def test_policy_timeout_forces_a_supervised_pool():

@@ -52,6 +52,10 @@ def _return_lambda(x):
     return lambda: x
 
 
+def _sigterm_is_default(_):
+    return signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+
+
 # ------------------------------------------------------------------- policy
 def test_policy_backoff_deterministic_and_bounded():
     policy = SupervisionPolicy(retries=5, backoff=0.5, backoff_cap=2.0,
@@ -170,6 +174,15 @@ def test_graceful_signals_routes_sigterm_and_restores_handler():
             os.kill(os.getpid(), signal.SIGTERM)
             time.sleep(0.5)  # let the handler run at a bytecode boundary
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_pool_workers_drop_the_inherited_sigterm_handler():
+    """Forked workers must not keep graceful_signals' handler: the SIGTERM
+    multiprocessing sends leftover workers at exit would surface as a
+    KeyboardInterrupt traceback from each of them."""
+    with graceful_signals():
+        outcomes = run_supervised(_sigterm_is_default, [0], jobs=1)
+    assert outcomes[0].value is True
 
 
 # ------------------------------------------------------------------ journal

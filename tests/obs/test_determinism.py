@@ -3,10 +3,6 @@
 Byte-identical across serial vs parallel population and across a
 journaled crash/resume cycle — the property the CI metrics-regression
 gate (benchmarks/check_stats_baseline.py) relies on.
-
-Parallel population re-resolves workloads by name inside the worker
-processes, so these tests use a real registry workload (grep) rather
-than a stub.
 """
 
 import json

@@ -40,6 +40,29 @@ def test_parallel_merge_is_byte_identical():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_exception_is_reported_at_any_jobs(jobs, monkeypatch):
+    """A program whose worker raises costs that program, reported the same
+    way in process and across the pool — it does not crash the run."""
+    from repro.verify.fuzz import fuzzcampaign
+
+    real = fuzzcampaign.generate_program
+
+    def generate(seed, config):
+        if seed == 1:
+            raise TypeError("planted generator fault")
+        return real(seed, config)
+
+    monkeypatch.setattr(fuzzcampaign, "generate_program", generate)
+    summary = FuzzCampaign(count=3, plans=1, model_keys=["boost7"],
+                           backends=["reference", "translate"]).run(jobs=jobs)
+    assert summary.oracle_errors == [
+        "fuzz-000001: worker failed: TypeError: planted generator fault "
+        "(repro: python -m repro fuzz --count 1 --seed-start 1 --plans 1 "
+        "--size small)"]
+    assert [r.seed for r in summary.results] == [0, 1, 2]
+
+
 def test_journal_resume_restores_results(tmp_path):
     campaign = _mini()
     fingerprint = Journal.make_fingerprint(**campaign.facets())
