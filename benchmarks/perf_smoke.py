@@ -65,8 +65,8 @@ def _time(fn) -> tuple[float, object]:
 
 
 def _best3(fn) -> tuple[float, object]:
-    """Best-of-three timing: the steady state of an engine (memoized
-    traces warm, generated code bound), not its first-run setup costs."""
+    """Best-of-three timing: the steady state of an engine (generated
+    code compiled), not its first-run setup costs."""
     best_dt, out = _time(fn)
     for _ in range(2):
         dt, out = _time(fn)
@@ -130,8 +130,8 @@ def backends_microbench(workload_names: list[str]) -> dict:
 
     Both engines consume the same compiled program.  The superscalar
     translation unit is built and compiled at compile time; the functional
-    one is built on the first translate run, which compiles the superblocks
-    it reaches.  Each sample is best-of-three, which excludes that first
+    one is built on the first translate run, which compiles the blocks it
+    reaches.  Each sample is best-of-three, which excludes that first
     run, so the ratio isolates execution-engine throughput from compile and
     binding costs.
     Every pair of runs is also checked for identical output — the perf

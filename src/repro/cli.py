@@ -279,11 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"slot-occupancy={st.issue_slot_occupancy * 100:.1f}%",
               file=sys.stderr)
         if st.translated_blocks:
-            print(f"# [translate] blocks={st.translated_blocks:,} "
-                  f"superblocks={st.superblocks_chained:,} "
-                  f"trace-hits={st.trace_hits:,} "
-                  f"trace-misses={st.trace_misses:,} "
-                  f"invalidations={st.trace_invalidations:,}",
+            print(f"# [translate] blocks={st.translated_blocks:,}",
                   file=sys.stderr)
         if cp.stats is not None:
             sc = cp.stats
@@ -499,8 +495,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=BACKENDS, default=None,
                        help="simulator execution engine (default: "
                             "$REPRO_SIM_BACKEND, or 'translate'): "
-                            "'translate' runs generated superblock code "
-                            "with trace-reuse memoization, 'interp' the "
+                            "'translate' runs every basic block as a "
+                            "generated Python function, 'interp' the "
                             "pre-decoded fast interpreters, 'reference' "
                             "the readable reference interpreters")
 

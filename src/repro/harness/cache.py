@@ -63,7 +63,7 @@ __all__ = ["CODE_VERSION", "CompileCache", "default_cache_dir"]
 #: front end, optimizer, register allocator, profiler, or schedulers that
 #: can alter their output for unchanged source + config, and on any change
 #: to the cached translation units' layout.
-CODE_VERSION = 7
+CODE_VERSION = 8
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

@@ -199,7 +199,7 @@ def compile_ir(
     # unit is an attribute of the schedule and pickles with its code
     # objects): a warm run compiles nothing for this engine.  The
     # reference's functional unit is left to its first translate run,
-    # which compiles only the superblocks it reaches: bench runs only the
+    # which compiles only the blocks it reaches: bench runs only the
     # scalar cell's reference.
     from repro.hw import translate
     unit = translate.superscalar_unit(sched)

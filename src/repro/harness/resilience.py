@@ -250,7 +250,13 @@ class _Slot:
         self.deadline = None
 
     def destroy(self, graceful: bool = False) -> None:
-        if graceful and self.proc.is_alive():
+        """Stop the worker: a ``graceful`` stop asks it to exit and waits
+        a moment; one still alive is killed.  Safe to call again after an
+        interrupted call."""
+        proc = self.proc
+        if proc is None:
+            return
+        if graceful and proc.is_alive():
             try:
                 self.conn.send(None)
             except (OSError, BrokenPipeError, ValueError):
@@ -259,16 +265,32 @@ class _Slot:
             self.conn.close()
         except OSError:
             pass
-        if self.proc.is_alive():
-            self.proc.join(timeout=0.25 if graceful else 0)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(timeout=5)
+        if proc.is_alive():
+            proc.join(timeout=0.25 if graceful else 0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=5)
         # Release the process object's resources (pidfd etc.) promptly.
+        self.proc = None
         try:
-            self.proc.close()
+            proc.close()
         except Exception:
             pass
+
+
+def _destroy_all(slots: list[_Slot]) -> bool:
+    """Destroy every slot, even when Ctrl-C lands mid-teardown: the
+    interrupted ``destroy`` is retried, and it and the rest kill their
+    workers without grace.  Returns whether an interrupt landed."""
+    interrupted = False
+    for slot in slots:
+        while True:
+            try:
+                slot.destroy(graceful=not (interrupted or slot.busy))
+                break
+            except KeyboardInterrupt:
+                interrupted = True
+    return interrupted
 
 
 def _mp_context():
@@ -300,6 +322,7 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
     if total == 0:
         return []
     ctx = _mp_context()
+    interrupted = False
     results: dict[int, TaskOutcome] = {}
     ready: deque[tuple[int, int]] = deque((i, 1) for i in range(total))
     delayed: list[tuple[float, int, int]] = []  # (ready_at, index, attempt)
@@ -392,13 +415,14 @@ def run_supervised(worker: Callable[[Any], Any], tasks: Sequence[Any],
                     failed(index, attempt, "timeout",
                            f"worker timeout: no result within "
                            f"{policy.timeout:.1f}s wall clock")
-        return [results[i] for i in range(total)]
     except KeyboardInterrupt:
-        raise CampaignInterrupted(completed=len(results), total=total
-                                  ) from None
+        interrupted = True
     finally:
-        for slot in slots:
-            slot.destroy(graceful=not slot.busy)
+        # a second Ctrl-C during teardown must not leave workers running
+        interrupted = _destroy_all(slots) or interrupted
+    if interrupted:
+        raise CampaignInterrupted(completed=len(results), total=total)
+    return [results[i] for i in range(total)]
 
 
 # ------------------------------------------------------------------- journal

@@ -111,9 +111,9 @@ def branch_taken(instr: Instruction, a: int = 0, b: int = 0) -> bool:
 #
 # Each entry renders the same semantics as the ALU_FUNCS/BRANCH_FUNCS lambda
 # above as a Python *expression* over operand expressions, so generated
-# superblock code inlines the operation instead of calling through the
-# table.  ``{a}``/``{b}`` are operand expressions (already masked unsigned
-# 32-bit values); immediates are folded into literals by ``alu_expr``.
+# code inlines the operation instead of calling through the table.
+# ``{a}``/``{b}`` are operand expressions (already masked unsigned 32-bit
+# values); immediates are folded into literals by ``alu_expr``.
 # ``tests/hw/test_translate.py`` sweeps every template against its table
 # function so the two can never drift apart.
 #
@@ -183,12 +183,10 @@ def alu_expr(op: Opcode, a: str, b: str, imm: int):
     return None  # DIV/REM trap — they stay table calls
 
 
-def branch_expr(op: Opcode, a: str, b: str, negate: bool = False) -> str:
-    """Inline condition expression for ``BRANCH_FUNCS[op](a, b)`` (or its
-    negation), over masked unsigned 32-bit operand expressions."""
+def branch_expr(op: Opcode, a: str, b: str) -> str:
+    """Inline condition expression for ``BRANCH_FUNCS[op](a, b)``, over
+    masked unsigned 32-bit operand expressions."""
     h = _H
-    if negate:
-        op = _BRANCH_NEG[op]
     if op is Opcode.BEQ:
         return f"{a} == {b}"
     if op is Opcode.BNE:
@@ -202,11 +200,3 @@ def branch_expr(op: Opcode, a: str, b: str, negate: bool = False) -> str:
     if op is Opcode.BGEZ:  # s32(a) >= 0
         return f"{a} < {h}"
     raise ValueError(f"{op} is not a conditional branch")
-
-
-#: each conditional branch's logical negation, for emitting off-trace exits
-_BRANCH_NEG = {
-    Opcode.BEQ: Opcode.BNE, Opcode.BNE: Opcode.BEQ,
-    Opcode.BLEZ: Opcode.BGTZ, Opcode.BGTZ: Opcode.BLEZ,
-    Opcode.BLTZ: Opcode.BGEZ, Opcode.BGEZ: Opcode.BLTZ,
-}

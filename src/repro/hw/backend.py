@@ -2,9 +2,8 @@
 
 One documented knob chooses which execution engine the simulators use:
 
-* ``REPRO_SIM_BACKEND=translate`` (the default) — decoded basic blocks are
-  compiled to generated Python superblocks with dynamic trace-reuse
-  memoization (:mod:`repro.hw.translate`);
+* ``REPRO_SIM_BACKEND=translate`` (the default) — every basic block is
+  compiled to one generated Python function (:mod:`repro.hw.translate`);
 * ``REPRO_SIM_BACKEND=interp`` — the pre-decoded flat-tuple fast
   interpreters from the PR-2 fast paths;
 * ``REPRO_SIM_BACKEND=reference`` — the readable reference interpreters

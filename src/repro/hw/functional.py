@@ -219,10 +219,10 @@ class FunctionalSim:
         result = None
         if (self.backend == "translate" and self.profile is None
                 and self.fault_hook is None and self.trap_handler is None):
-            # instrumentation hooks need per-instruction visibility the
-            # generated superblocks do not expose — those runs fall back
-            # to the pre-decoded interpreter, which is observably
-            # identical.
+            # profiling, fault hooks and trap handlers need
+            # per-instruction visibility the generated blocks do not
+            # expose — those runs fall back to the pre-decoded
+            # interpreter, which is observably identical.
             from repro.hw import translate
             if translate.functional_unit(self.program,
                                           len(self.regs)) is not None:

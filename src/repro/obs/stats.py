@@ -181,10 +181,6 @@ class SimStats:
     # Translating backend (repro.hw.translate); zero under the
     # interpreter backends.
     translated_blocks: int = 0
-    superblocks_chained: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
-    trace_invalidations: int = 0
 
     # Dynamic (out-of-order) pipeline.
     rob_high_water: int = 0
@@ -274,10 +270,6 @@ class SimStats:
         if counters is None:
             return
         self.translated_blocks = counters["translated_blocks"]
-        self.superblocks_chained = counters["superblocks_chained"]
-        self.trace_hits = counters["trace_hits"]
-        self.trace_misses = counters["trace_misses"]
-        self.trace_invalidations = counters["trace_invalidations"]
 
     def _accumulate_blocks(self, shapes: Dict) -> None:
         """Combine per-block execution counts with static block shapes.
@@ -402,10 +394,6 @@ class SimStats:
             "squash_rate": round(self.squash_rate, 6),
             "stlf_hits": self.stlf_hits,
             "storebuf_high_water": self.storebuf_high_water,
-            "superblocks_chained": self.superblocks_chained,
-            "trace_hits": self.trace_hits,
-            "trace_invalidations": self.trace_invalidations,
-            "trace_misses": self.trace_misses,
             "translated_blocks": self.translated_blocks,
         }
 

@@ -135,7 +135,7 @@ class DifferentialChecker:
 
         A hook with no targets is behaviourally inert, but its mere
         presence forces both simulators off the translating engine (the
-        generated superblocks have no per-instruction hook points) — so a
+        generated blocks have no per-instruction hook points) — so a
         benign or flip-only plan must run hook-free, or the backend under
         test silently degrades to the interpreter.
         """

@@ -7,8 +7,8 @@ Three pieces, one loop:
   branch predictability is tuned across the paper's 72–98% spread; loops
   nest irregularly; excepting instructions (div/rem, raw memory) and
   store-to-load aliasing patterns are emitted on purpose, because those are
-  the legality edges of boosting and of the translating backend's
-  trace-reuse memoization.
+  the legality edges of boosting and the trap and memory edges of the
+  translating backend's generated code.
 * :mod:`repro.verify.fuzz.fuzzcampaign` — the differential campaign
   (``python -m repro fuzz``): each generated program runs through the full
   cross-product oracle — {reference, interp, translate} backends ×

@@ -8,7 +8,7 @@ One campaign cell is ``(program, plan, machine, model, backend)``:
 * **backend cells** re-run the functional machine on each other backend
   (``interp``, ``translate``) and demand identical output, trap identity,
   and final memory — this is the cross-check that guards the translating
-  backend's superblock generation and trace-reuse memoization;
+  backend's generated code;
 * **model cells** run the scheduled superscalar machine for each boosting
   model × backend under the same fault plan, compared against the oracle
   with the usual differential rules (trap precision, prefix-consistent
@@ -23,9 +23,9 @@ One campaign cell is ``(program, plan, machine, model, backend)``:
 Plans are deterministic per ``(program seed, plan index)``; plan index 0 is
 always the explicit benign plan, the rest are drawn by
 :func:`repro.verify.faults.make_plan` (traps + prediction flips).  A plan
-that carries a trap forces both machines onto the interpreter engine (the
-fault hook has no superblock port), so the translating backend is genuinely
-exercised by the benign and flip-only cells.
+that carries a trap forces both machines onto the interpreter engine
+(generated code has no fault-hook port), so the translating backend is
+genuinely exercised by the benign and flip-only cells.
 
 The campaign rides the same run loop as ``bench``/``verify``
 (:func:`repro.harness.parallel.run_tasks`): the supervised worker pool

@@ -15,8 +15,7 @@ Every generated program is, by construction:
   loadw/storew are emitted deliberately (they are the fault-plan trap
   candidates and the boosting-recovery stress); stores and loads through
   both ``a[i]`` and ``loadw(addr(a) + 4*i)`` alias the same arrays, which
-  is exactly the store-to-load legality edge of the translating backend's
-  trace-reuse memoization.
+  is exactly the store-to-load edge memory disambiguation must respect.
 
 Determinism: the program text, train inputs, and eval inputs are a pure
 function of ``(seed, GenConfig)``.  The RNG is seeded from a string (CPython
@@ -299,7 +298,7 @@ class _Gen:
             self.w.emit(f"{arr}[{idx}] = {value};")
         if rng.random() < 0.6:
             # immediately read the same array back (maybe the same slot):
-            # the store-to-load pattern trace memoization must respect
+            # the store-to-load pattern memory disambiguation must respect
             back = self.index_expr()
             if rng.random() < self.config.raw_mem_prob:
                 load = f"loadw(addr({arr}) + 4 * ({back}))"

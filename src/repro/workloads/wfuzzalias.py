@@ -5,8 +5,7 @@ raw_mem_prob=0.85)`` and promoted from the fuzz corpus because it is the
 suite's densest store-to-load aliasing stress: 28 raw ``storew``/``loadw``
 sites share three word arrays with ``a[i]`` syntax inside an 11-loop nest,
 which is exactly the memory-disambiguation edge that limits boosting of
-loads and the legality edge of the translating backend's trace-reuse
-memoization.  The source is frozen verbatim (regenerating would couple the
+loads.  The source is frozen verbatim (regenerating would couple the
 benchmark tables to generator internals); ``generate_program(10,
 GenConfig(size="medium", raw_mem_prob=0.85))`` replays its ancestry
 (``raw_mem_prob`` is a ``GenConfig`` knob, not a CLI flag).

@@ -2,6 +2,7 @@
 chaos injection, and graceful shutdown."""
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import resilience
 from repro.harness.resilience import (
     CampaignInterrupted, ChaosConfig, Journal, JournalError,
     SupervisionPolicy, graceful_signals, run_supervised,
@@ -174,6 +176,29 @@ def test_graceful_signals_routes_sigterm_and_restores_handler():
             os.kill(os.getpid(), signal.SIGTERM)
             time.sleep(0.5)  # let the handler run at a bytecode boundary
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_second_interrupt_during_teardown_leaves_no_worker(monkeypatch):
+    """Ctrl-C interrupts the pool, and a second one lands in the first
+    worker's teardown: every worker is still destroyed, and the interrupt
+    propagates."""
+    def interrupted_wait(*args):
+        raise KeyboardInterrupt
+
+    real_destroy = resilience._Slot.destroy
+    calls = []
+
+    def destroy(slot, graceful=False):
+        calls.append(slot)
+        if len(calls) == 1:
+            os.kill(os.getpid(), signal.SIGINT)
+        real_destroy(slot, graceful)
+
+    monkeypatch.setattr(resilience, "_conn_wait", interrupted_wait)
+    monkeypatch.setattr(resilience._Slot, "destroy", destroy)
+    with pytest.raises(KeyboardInterrupt):
+        run_supervised(_sleepy, [(i, 5) for i in range(3)], jobs=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_workers_drop_the_inherited_sigterm_handler():

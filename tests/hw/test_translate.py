@@ -3,9 +3,9 @@
 The translated engines must be observably identical to the interpreters on
 every workload and, for the scheduled machine, every static model with its
 boosted slots — same output, same counters, same traps — including at fuel
-boundaries and across the trace-reuse memo layer's legality edges (a trap
-reached from a memoized superblock, a store aliasing a memoized load).
-These tests pin that equivalence, plus the expression templates the code
+boundaries, on a store aliasing a hot loop's loads and on a trap after a
+hot loop.  These tests pin that equivalence, that each engine generates
+one function per basic block, plus the expression templates the code
 generator inlines, the backend-selection knob, the CompileCache round-trip
 of generated code with its compiled code objects, and that a generated
 function is compiled at most once, and only when a run reaches it.
@@ -33,7 +33,7 @@ from repro.hw.functional import FunctionalSim
 from repro.hw import translate
 from repro.hw.superscalar import SuperscalarSim
 from repro.hw.translate import (
-    HOT_THRESHOLD, TranslationUnit, functional_unit, superscalar_unit,
+    TranslationUnit, functional_unit, superscalar_unit,
 )
 from repro.isa import Instruction, Opcode, Reg, ZERO
 from repro.obs.stats import SimStats
@@ -75,9 +75,14 @@ def test_functional_translate_matches_interpreters(name):
     image = make_input_image(compiled.program, wl.train)
 
     def run(backend):
+        st = SimStats()
         sim = FunctionalSim(compiled.program, input_image=image,
-                            backend=backend)
-        return _observables(sim.run())
+                            backend=backend, stats=st)
+        obs = _observables(sim.run())
+        snap = st.snapshot()
+        for k in _BACKEND_KEYS:
+            snap.pop(k)
+        return obs, snap
 
     translated = run("translate")
     assert translated == run("interp")
@@ -85,8 +90,7 @@ def test_functional_translate_matches_interpreters(name):
 
 
 #: backend metadata, legitimately different between execution engines
-_BACKEND_KEYS = ("translated_blocks", "superblocks_chained", "trace_hits",
-                 "trace_misses", "trace_invalidations")
+_BACKEND_KEYS = ("translated_blocks",)
 
 
 @pytest.mark.parametrize("key", list(CONFIGS))
@@ -112,6 +116,24 @@ def test_superscalar_translate_matches_interpreters(key):
     translated = run("translate")
     assert translated == run("interp")
     assert translated == run("reference")
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_functional_translate_actually_translates(name):
+    """One generated function per block of the scalar reference, and a
+    run counts every one of them."""
+    wl = get(name)
+    reference = compile_minic(wl.source, CONFIGS["scalar"]).reference
+    unit = functional_unit(reference)
+    nblocks = sum(len(p.blocks) for p in reference.procedures.values())
+    assert len(unit.sources) == nblocks
+    assert [len(unit.fns[p]) for p in reference.procedures] == \
+        [len(p.blocks) for p in reference.procedures.values()]
+    assert unit.translated_blocks == nblocks
+    sim = FunctionalSim(reference, backend="translate",
+                        input_image=make_input_image(reference, wl.train))
+    sim.run()
+    assert sim.translate_counters["translated_blocks"] == nblocks
 
 
 def test_superscalar_translate_actually_translates():
@@ -233,22 +255,28 @@ def test_boosted_slot_edges_match_reference(build):
 
 def test_functional_translate_fuel_exhaustion_is_exact():
     """Fuel handoff to the interpreter must exhaust on the same instruction
-    the per-instruction reference loop does."""
+    the per-instruction reference loop does, on grep and on a store
+    aliasing a hot loop's loads."""
     wl = get("grep")
-    compiled = compile_minic(wl.source, CONFIGS["scalar"])
-    image = make_input_image(compiled.program, wl.train)
-
-    full = FunctionalSim(compiled.program, input_image=image).run()
-    for fuel in (1, 7, full.instr_count // 2, full.instr_count - 1):
-        states = []
-        for backend in ("translate", "reference"):
-            sim = FunctionalSim(compiled.program, input_image=image,
-                                max_steps=fuel, backend=backend)
-            with pytest.raises(FuelExhausted):
-                sim.run()
-            states.append((sim.result.instr_count, sim.result.nop_count,
-                           list(sim.result.output)))
-        assert states[0] == states[1]
+    programs = [
+        (compile_minic(wl.source, CONFIGS["scalar"]), wl.train),
+        (compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"]), _HOT_INPUTS),
+    ]
+    for compiled, inputs in programs:
+        image = make_input_image(compiled.program, inputs)
+        n = FunctionalSim(compiled.program, input_image=image).run() \
+            .instr_count
+        for fuel in (1, 7, n // 3, n // 2, n - 2, n - 1):
+            states = []
+            for backend in ("translate", "reference"):
+                sim = FunctionalSim(compiled.program, input_image=image,
+                                    max_steps=fuel, backend=backend)
+                with pytest.raises(FuelExhausted):
+                    sim.run()
+                states.append((sim.result.instr_count,
+                               sim.result.nop_count,
+                               list(sim.result.output)))
+            assert states[0] == states[1], fuel
 
 
 # ------------------------------------------------- expression templates
@@ -278,13 +306,11 @@ def test_alu_expr_templates_match_table_functions():
 
 def test_branch_expr_templates_match_table_functions():
     for op, fn in BRANCH_FUNCS.items():
-        for negate in (False, True):
-            code = compile(branch_expr(op, "a", "b", negate),
-                           f"<{op.name}>", "eval")
-            for a in _SAMPLES:
-                for b in _SAMPLES:
-                    got = bool(eval(code, {"a": a, "b": b}))
-                    assert got == (fn(a, b) ^ negate), (op, negate, a, b)
+        code = compile(branch_expr(op, "a", "b"), f"<{op.name}>", "eval")
+        for a in _SAMPLES:
+            for b in _SAMPLES:
+                got = bool(eval(code, {"a": a, "b": b}))
+                assert got == fn(a, b), (op, a, b)
 
 
 def test_div_rem_stay_table_calls():
@@ -293,9 +319,11 @@ def test_div_rem_stay_table_calls():
     assert alu_expr(Opcode.REM, "a", "b", 0) is None
 
 
-# ------------------------------------------------- trace-reuse legality
+# ------------------------------------------------- hot loops
 
-_MEMO_CALLS = 3 * HOT_THRESHOLD
+#: calls of ``f``, each running its eight-iteration loop
+_MEMO_CALLS = 48
+_HOT_INPUTS = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
 
 _ALIASING_SOURCE = """
 global xs[8];
@@ -364,55 +392,24 @@ def _run_backend(compiled, inputs, backend):
         result = sim.result
     obs = _observables(result)
     obs["trap"] = trap
-    return obs, sim
+    return obs
 
 
 def test_memoized_trace_store_aliasing_falls_back():
-    """A store that changes memory a memoized trace loaded must invalidate
-    the trace — replaying the stale sum would be wrong."""
-    inputs = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
+    """A store into memory a hot loop keeps loading: later iterations see
+    the stored value, as on the reference."""
     compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
-    t_obs, t_sim = _run_backend(compiled, inputs, "translate")
-    r_obs, _ = _run_backend(compiled, inputs, "reference")
-    assert t_obs == r_obs
-    counters = t_sim.translate_counters
-    # the loop went hot, replayed, and the aliasing store was caught
-    assert counters["trace_hits"] > 0
-    assert counters["trace_invalidations"] >= 1
+    t_obs = _run_backend(compiled, _HOT_INPUTS, "translate")
+    assert t_obs == _run_backend(compiled, _HOT_INPUTS, "reference")
 
 
 def test_trap_after_memoized_trace_is_exact():
-    """When the inputs of a hot superblock change so that executing it
-    traps, the memo layer must execute (the key/validation misses), raising
-    the same trap at the same instruction as the reference — never
-    replaying a recorded non-trapping run."""
-    inputs = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
+    """A hot loop whose inputs change so that it traps raises the same
+    trap at the same instruction as the reference."""
     compiled = compile_minic(_TRAP_SOURCE, CONFIGS["scalar"])
-    t_obs, t_sim = _run_backend(compiled, inputs, "translate")
-    r_obs, _ = _run_backend(compiled, inputs, "reference")
+    t_obs = _run_backend(compiled, _HOT_INPUTS, "translate")
     assert t_obs["trap"] is not None
-    assert t_obs == r_obs
-    assert t_sim.translate_counters["trace_hits"] > 0
-
-
-def test_memoized_trace_fuel_boundaries_are_exact():
-    """Replay must hand off to the interpreter at exactly the same fuel
-    level as execution would — a trace is never replayed on partial fuel."""
-    inputs = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
-    compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
-    image = make_input_image(compiled.program, inputs)
-    full = FunctionalSim(compiled.program, input_image=image).run()
-    for fuel in (full.instr_count // 3, full.instr_count // 2,
-                 full.instr_count - 2):
-        states = []
-        for backend in ("translate", "reference"):
-            sim = FunctionalSim(compiled.program, input_image=image,
-                                max_steps=fuel, backend=backend)
-            with pytest.raises(FuelExhausted):
-                sim.run()
-            states.append((sim.result.instr_count, sim.result.nop_count,
-                           list(sim.result.output)))
-        assert states[0] == states[1]
+    assert t_obs == _run_backend(compiled, _HOT_INPUTS, "reference")
 
 
 def test_translation_counters_reach_stats_snapshot():
@@ -422,7 +419,6 @@ def test_translation_counters_reach_stats_snapshot():
     compiled.run_functional(wl.train, stats=st)
     snap = st.snapshot()
     assert snap["translated_blocks"] > 0
-    assert snap["trace_hits"] >= 0
 
 
 # ------------------------------------------------- staleness protection
@@ -532,10 +528,10 @@ def test_translation_unit_rides_compile_cache(tmp_path):
     assert "_translation_unit" not in warm.reference.__dict__
     sunit = warm.sched.__dict__.get("_translation_unit")
     assert isinstance(sunit, TranslationUnit)
-    assert sunit.sources["sched"]
-    assert sunit.code["sched"].keys() == sunit.sources["sched"].keys()
+    assert sunit.sources
+    assert sunit.code.keys() == sunit.sources.keys()
     assert all(isinstance(code, types.CodeType)
-               for code in sunit.code["sched"].values())
+               for code in sunit.code.values())
 
     image = make_input_image(warm.reference, wl.train)
     fsim = FunctionalSim(warm.reference, input_image=image,
@@ -608,27 +604,19 @@ def test_translate_compiles_only_the_functions_a_run_reaches():
     program = _dead_block_program()
     fsim = FunctionalSim(program, backend="translate")
     assert fsim.run().output == [5]
-    funit = functional_unit(program)
-    # ``entry`` chains into ``end``: one superblock covers the whole run
-    assert set(funit.code["plain"]) == {funit.fns["main"][0]}
-    assert funit.fns["main"][1] in funit.sources["plain"]
-
     sched = _dead_block_schedule()
     ssim = SuperscalarSim(sched, max_cycles=100, backend="translate")
     assert ssim.run().output == [5]
-    sunit = superscalar_unit(sched)
-    dead = sunit.fns["main"][1]
-    assert dead in sunit.sources["sched"]
-    assert dead not in sunit.code["sched"]
-    assert set(sunit.code["sched"]) == {sunit.fns["main"][0],
-                                        sunit.fns["main"][2]}
+    for unit in (functional_unit(program), superscalar_unit(sched)):
+        entry, dead, end = unit.fns["main"]
+        assert dead in unit.sources
+        assert set(unit.code) == {entry, end}
 
 
 def test_binding_a_unit_twice_compiles_each_function_once(monkeypatch):
     """Every run binds the unit afresh; the unit's memo still compiles
-    each reached function once per process, record variant included."""
+    each reached function once per process."""
     compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
-    inputs = {"xs": [3, 1, 4, 1, 5, 9, 2, 6], "calls": _MEMO_CALLS}
     compiles = Counter()
     real_compile = compile
 
@@ -638,27 +626,13 @@ def test_binding_a_unit_twice_compiles_each_function_once(monkeypatch):
 
     monkeypatch.setattr(translate, "compile", counting_compile,
                         raising=False)
-    first, sim = _run_backend(compiled, inputs, "translate")
-    assert sim.translate_counters["trace_hits"] > 0
-    second, _ = _run_backend(compiled, inputs, "translate")
+    first = _run_backend(compiled, _HOT_INPUTS, "translate")
+    second = _run_backend(compiled, _HOT_INPUTS, "translate")
     assert first == second
     unit = functional_unit(compiled.program)
-    assert unit.code["record"]
-    reached = sum(len(codes) for codes in unit.code.values())
-    assert len(compiles) == reached
+    assert unit.code
+    assert len(compiles) == len(unit.code)
     assert set(compiles.values()) == {1}
-
-
-def test_record_variant_only_for_memo_eligible_superblocks():
-    """The driver calls ``record`` only through memo states, so only
-    memo-eligible superblocks have one."""
-    compiled = compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"])
-    unit = functional_unit(compiled.program)
-    eligible = {unit.fns[p][k] for p, pmemo in unit.memo.items()
-                for k in pmemo}
-    assert eligible
-    assert set(unit.sources["record"]) == eligible
-    assert len(unit.sources["plain"]) > len(eligible)
 
 
 def test_cache_purges_stale_code_version(tmp_path, capsys):
