@@ -253,30 +253,28 @@ def test_boosted_slot_edges_match_reference(build):
         assert translated[0]["output"] == [-1, 0, 255]
 
 
+def _assert_fuel_exhaustion_is_exact(compiled, inputs, fuels):
+    image = make_input_image(compiled.program, inputs)
+    n = FunctionalSim(compiled.program, input_image=image).run().instr_count
+    for fuel in fuels(n):
+        states = []
+        for backend in ("translate", "reference"):
+            sim = FunctionalSim(compiled.program, input_image=image,
+                                max_steps=fuel, backend=backend)
+            with pytest.raises(FuelExhausted):
+                sim.run()
+            states.append((sim.result.instr_count, sim.result.nop_count,
+                           list(sim.result.output)))
+        assert states[0] == states[1], fuel
+
+
 def test_functional_translate_fuel_exhaustion_is_exact():
     """Fuel handoff to the interpreter must exhaust on the same instruction
-    the per-instruction reference loop does, on grep and on a store
-    aliasing a hot loop's loads."""
+    the per-instruction reference loop does."""
     wl = get("grep")
-    programs = [
-        (compile_minic(wl.source, CONFIGS["scalar"]), wl.train),
-        (compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"]), _HOT_INPUTS),
-    ]
-    for compiled, inputs in programs:
-        image = make_input_image(compiled.program, inputs)
-        n = FunctionalSim(compiled.program, input_image=image).run() \
-            .instr_count
-        for fuel in (1, 7, n // 3, n // 2, n - 2, n - 1):
-            states = []
-            for backend in ("translate", "reference"):
-                sim = FunctionalSim(compiled.program, input_image=image,
-                                    max_steps=fuel, backend=backend)
-                with pytest.raises(FuelExhausted):
-                    sim.run()
-                states.append((sim.result.instr_count,
-                               sim.result.nop_count,
-                               list(sim.result.output)))
-            assert states[0] == states[1], fuel
+    _assert_fuel_exhaustion_is_exact(
+        compile_minic(wl.source, CONFIGS["scalar"]), wl.train,
+        lambda n: (1, 7, n // 2, n - 1))
 
 
 # ------------------------------------------------- expression templates
@@ -410,6 +408,14 @@ def test_trap_after_memoized_trace_is_exact():
     t_obs = _run_backend(compiled, _HOT_INPUTS, "translate")
     assert t_obs["trap"] is not None
     assert t_obs == _run_backend(compiled, _HOT_INPUTS, "reference")
+
+
+def test_memoized_trace_fuel_boundaries_are_exact():
+    """Fuel running out inside a hot loop that a store aliases hands off to
+    the interpreter at the same instruction the reference exhausts on."""
+    _assert_fuel_exhaustion_is_exact(
+        compile_minic(_ALIASING_SOURCE, CONFIGS["scalar"]), _HOT_INPUTS,
+        lambda n: (n // 3, n // 2, n - 2))
 
 
 def test_translation_counters_reach_stats_snapshot():
